@@ -101,16 +101,8 @@ def coupled_rhs(pair: ModePair, state: BeamState) -> tuple[float, float, float, 
 def energy(pair: ModePair, state: BeamState) -> float:
     """Conserved energy w'^2/2 + z'^2/2 + m^4 w^2/2 + n^4 z^2/2
     + (m^2 w^2 + n^2 z^2)^2 / 4."""
-    m2 = pair.m * pair.m
-    n2 = pair.n * pair.n
-    coupling = m2 * state.w * state.w + n2 * state.z * state.z
-    return (
-        0.5 * state.w_dot**2
-        + 0.5 * state.z_dot**2
-        + 0.5 * m2 * m2 * state.w**2
-        + 0.5 * n2 * n2 * state.z**2
-        + 0.25 * coupling * coupling
-    )
+    row = np.array([[state.w, state.w_dot, state.z, state.z_dot]], dtype=float)
+    return float(_energy_rows(pair, row)[0])
 
 
 def _energy_rows(pair: ModePair, states: np.ndarray) -> np.ndarray:

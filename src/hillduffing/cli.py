@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -38,16 +39,14 @@ def _parse_range(text: str) -> tuple[float, float, int]:
     if len(parts) != 3:
         raise DomainError(f"range must look like lo:hi:count, got {text!r}")
     lo, hi = float(parts[0]), float(parts[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"range endpoints must be finite, got {text!r}")
     count = int(parts[2])
     if count < 2:
         raise DomainError(f"range count must be >= 2, got {count}")
     if not hi > lo:
         raise DomainError(f"range must be ordered, got {text!r}")
     return lo, hi, count
-
-
-def _plane(name: str) -> tongues.Plane:
-    return tongues.Plane.GAMMA if name == "gamma" else tongues.Plane.OMEGA
 
 
 def _workers(args: argparse.Namespace) -> int:
@@ -78,39 +77,32 @@ def _write_meta(path: str, command: str, config: dict, wall_time: float) -> None
         "wall_time_s": wall_time,
         "created_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
     }
-    tmp = path + ".tmp"
-    with open(tmp, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
+    _write_text(path, [json.dumps(payload, indent=2, sort_keys=True)])
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     x_lo, x_hi, nx = _parse_range(args.x)
     y_lo, y_hi, ny = _parse_range(args.y)
     tol_boundary = 0.02 if args.paper_figures else args.tol_boundary
+    workers = _workers(args)
     t0 = time.perf_counter()
     grid = tongues.scan(
-        _plane(args.plane), (x_lo, x_hi), (y_lo, y_hi), (nx, ny),
-        integrator_tol=args.tol, tol_boundary=tol_boundary,
-        workers=_workers(args),
+        tongues.Plane(args.plane), (x_lo, x_hi), (y_lo, y_hi), (nx, ny),
+        integrator_tol=args.tol, tol_boundary=tol_boundary, workers=workers,
     )
     wall = time.perf_counter() - t0
     base = _basename(args.out)
     _write_text(base + ".csv", grid.csv_rows())
-    config = dict(grid.meta, workers=_workers(args), paper_figures=args.paper_figures)
+    config = dict(grid.meta, workers=workers, paper_figures=args.paper_figures)
     _write_meta(base + ".meta.json", "scan", config, wall)
     print(f"wrote {base}.csv ({nx * ny} cells) and {base}.meta.json")
     return 0
 
 
 def _criteria_cell(task) -> tuple[str, ...]:
-    plane_name, x, y, names = task
+    plane, x, y, names = task
     try:
-        if plane_name == "gamma":
-            p = hill.squared_duffing_coefficient(x, y)
-        else:
-            p = hill.omega_coefficient(x, y)
+        p = plane.coefficient(x, y)
     except DomainError:
         return tuple("I" for _ in names)
     verdicts = []
@@ -131,16 +123,11 @@ def _cmd_criteria_map(args: argparse.Namespace) -> int:
             raise DomainError(f"unknown criterion {n!r}; choose from {sorted(_CRITERIA)}")
     xs = tongues.axis_values(x_lo, x_hi, nx)
     ys = tongues.axis_values(y_lo, y_hi, ny)
-    tasks = [(args.plane, float(x), float(y), tuple(names)) for x in xs for y in ys]
+    plane = tongues.Plane(args.plane)
+    tasks = [(plane, float(x), float(y), tuple(names)) for x in xs for y in ys]
     t0 = time.perf_counter()
     workers = _workers(args)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(_criteria_cell, tasks, chunksize=16))
-    else:
-        cells = [_criteria_cell(t) for t in tasks]
+    cells = tongues.map_cells(_criteria_cell, tasks, workers)
     wall = time.perf_counter() - t0
 
     header = "x,y," + ",".join(n.replace("-", "_") for n in names)
@@ -162,7 +149,7 @@ def _cmd_criteria_map(args: argparse.Namespace) -> int:
 def _cmd_tongue_bracket(args: argparse.Namespace) -> int:
     try:
         sample = tongues.trace_level_bracket(
-            _plane(args.plane), args.ell, args.delta,
+            tongues.Plane(args.plane), args.ell, args.delta,
             threshold=args.threshold, integrator_tol=args.tol,
         )
     except BracketNotFound as exc:

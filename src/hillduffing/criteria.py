@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
@@ -187,22 +188,21 @@ def psi(delta: float, omega: float) -> float:
     """
     if not (delta > 0.0) or not (omega > 0.0):
         raise DomainError(f"need delta > 0 and omega > 0, got ({delta!r}, {omega!r})")
-    d2 = delta * delta
-
-    def integrand(t: float) -> float:
-        s2 = math.sin(t) ** 2
-        return math.sqrt((omega + d2 * s2) / (2.0 + d2 + d2 * s2))
-
-    val, _ = quad(integrand, 0.0, math.pi / 2.0, epsabs=_QUAD_EPS, epsrel=1e-12,
-                  limit=400)
-    return 2.0 * math.sqrt(2.0 * omega) * val
+    return math.sqrt(omega) * phi(delta, omega)
 
 
-def _window_verdict(phase: float, log_ratio: float, extra: dict[str, float]) -> CriterionVerdict:
-    ell = int(math.floor(phase / math.pi))
-    window = 2.0 * min(phase - ell * math.pi, (ell + 1) * math.pi - phase)
-    q = dict(extra)
-    q.update({"phase_integral": phase, "log_ratio": log_ratio, "window": window})
+def _burdina_condition(delta: float, c: float, phase: Callable[[float, float], float],
+                       name: str) -> CriterionVerdict:
+    """Closed-form phase-integral condition for the offset ``c`` (named
+    ``name``), with ``phase(delta, c)`` the plane's phase integral."""
+    if not (delta > 0.0) or not (c > 0.0):
+        raise DomainError(f"need delta > 0 and {name} > 0, got ({delta!r}, {c!r})")
+    a = phase(delta, c)
+    log_ratio = math.log1p(delta * delta / c)
+    ell = int(math.floor(a / math.pi))
+    window = 2.0 * min(a - ell * math.pi, (ell + 1) * math.pi - a)
+    q = {"delta": delta, name: c, "phase_integral": a, "log_ratio": log_ratio,
+         "window": window}
     if ell >= 0 and log_ratio < window - _MARGIN:
         return CriterionVerdict(Criterion.BURDINA, Outcome.GUARANTEED_STABLE,
                                 witness_ell=ell, quantities=q)
@@ -217,18 +217,12 @@ def burdina_condition_gamma(delta: float, gamma: float) -> CriterionVerdict:
     for l = floor(phi / pi); by the change of variables behind ``phi`` this
     is exactly the time-domain phase-integral test.
     """
-    if not (delta > 0.0) or not (gamma > 0.0):
-        raise DomainError(f"need delta > 0 and gamma > 0, got ({delta!r}, {gamma!r})")
-    return _window_verdict(phi(delta, gamma), math.log1p(delta * delta / gamma),
-                           {"delta": delta, "gamma": gamma})
+    return _burdina_condition(delta, gamma, phi, "gamma")
 
 
 def burdina_condition_omega(delta: float, omega: float) -> CriterionVerdict:
     """Phase-integral condition in closed form for the omega plane."""
-    if not (delta > 0.0) or not (omega > 0.0):
-        raise DomainError(f"need delta > 0 and omega > 0, got ({delta!r}, {omega!r})")
-    return _window_verdict(psi(delta, omega), math.log1p(delta * delta / omega),
-                           {"delta": delta, "omega": omega})
+    return _burdina_condition(delta, omega, psi, "omega")
 
 
 def g_function(delta: float) -> float:

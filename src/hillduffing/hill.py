@@ -72,34 +72,43 @@ class MonodromyReport:
     tol: float = field(default=DEFAULT_TOL, compare=False)
 
 
-def squared_duffing_coefficient(delta: float, gamma: float) -> PeriodicCoefficient:
-    """Coefficient p(t) = gamma + y(t)^2 with y the unscaled Duffing solution.
+def _duffing_coefficient(params: DuffingParams, offset: float, label: str) -> PeriodicCoefficient:
+    """Coefficient p(t) = offset + delta^2 cn^2(rate t, k) of the Duffing
+    solution ``params``.
 
-    The square halves the period: p has least period T(delta)/2, minimum
-    gamma (y vanishes at quarter period) and maximum gamma + delta^2, each
-    attained once per period.  All criteria are applied with this halved
-    period.
+    The square halves the period: p has least period T/2, minimum
+    ``offset`` (the solution vanishes at quarter period) and maximum
+    offset + delta^2, each attained once per period.
     """
-    if delta == 0.0:
-        raise DomainError("delta = 0 makes the coefficient constant")
-    params = DuffingParams(delta)
+    c = float(offset)
+    if not math.isfinite(c):
+        raise DomainError(f"{label}: offset must be finite, got {offset!r}")
     rate = params.argument_rate
     k = params.modulus
-    d2 = float(delta) * float(delta)
-    g = float(gamma)
+    d2 = float(params.delta) * float(params.delta)
 
     def p(t: float) -> float:
         cn = elliptic.jacobi(rate * t, k).cn
-        return g + d2 * cn * cn
+        return c + d2 * cn * cn
 
     return PeriodicCoefficient(
         func=p,
         period=period(params) / 2.0,
-        analytic_min=g,
-        analytic_max=g + d2,
+        analytic_min=c,
+        analytic_max=c + d2,
         single_extremum_pair=True,
-        label=f"squared_duffing(delta={delta}, gamma={gamma})",
+        label=label,
     )
+
+
+def squared_duffing_coefficient(delta: float, gamma: float) -> PeriodicCoefficient:
+    """Coefficient p(t) = gamma + y(t)^2 with y the unscaled Duffing solution.
+
+    Period T(delta)/2, bounds [gamma, gamma + delta^2]; all criteria are
+    applied with this halved period.
+    """
+    return _duffing_coefficient(DuffingParams(delta), gamma,
+                                f"squared_duffing(delta={delta}, gamma={gamma})")
 
 
 def omega_coefficient(delta: float, omega: float) -> PeriodicCoefficient:
@@ -109,26 +118,8 @@ def omega_coefficient(delta: float, omega: float) -> PeriodicCoefficient:
     omega = 1.  Period is T_omega(delta)/2, bounds are [omega,
     omega + delta^2].
     """
-    if delta == 0.0:
-        raise DomainError("delta = 0 makes the coefficient constant")
-    params = DuffingParams(delta, omega)
-    rate = params.argument_rate
-    k = params.modulus
-    d2 = float(delta) * float(delta)
-    w = float(omega)
-
-    def p(t: float) -> float:
-        cn = elliptic.jacobi(rate * t, k).cn
-        return w + d2 * cn * cn
-
-    return PeriodicCoefficient(
-        func=p,
-        period=period(params) / 2.0,
-        analytic_min=w,
-        analytic_max=w + d2,
-        single_extremum_pair=True,
-        label=f"omega_coefficient(delta={delta}, omega={omega})",
-    )
+    return _duffing_coefficient(DuffingParams(delta, omega), omega,
+                                f"omega_coefficient(delta={delta}, omega={omega})")
 
 
 def mathieu_coefficient(a: float, q: float) -> PeriodicCoefficient:
@@ -225,8 +216,6 @@ def exact_solution_residual(kind: ExactLine, delta: float, t_samples) -> float:
     derivative identities, so the residual isolates algebra and
     special-function errors; it vanishes identically in exact arithmetic.
     """
-    if delta == 0.0:
-        raise DomainError("delta must be nonzero")
     params = DuffingParams(delta)
     k = params.modulus
     k2 = k * k

@@ -15,7 +15,7 @@ import enum
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
@@ -24,6 +24,7 @@ from .errors import BracketNotFound, DomainError, IntegrationFailure
 from .hill import (
     DEFAULT_TOL,
     DEFAULT_TOL_BOUNDARY,
+    PeriodicCoefficient,
     Stability,
     monodromy,
     omega_coefficient,
@@ -40,6 +41,12 @@ class Plane(enum.Enum):
 
     GAMMA = "gamma"
     OMEGA = "omega"
+
+    def coefficient(self, delta: float, y: float) -> PeriodicCoefficient:
+        """Hill coefficient at the point (delta, y) of this plane."""
+        if self is Plane.GAMMA:
+            return squared_duffing_coefficient(delta, y)
+        return omega_coefficient(delta, y)
 
 
 class StripVerdict(enum.Enum):
@@ -67,21 +74,30 @@ def axis_values(lo: float, hi: float, count: int) -> np.ndarray:
 
 def trace_at(plane: Plane, delta: float, y: float, tol: float = DEFAULT_TOL) -> float:
     """Monodromy trace at one point of the chosen parameter plane."""
-    if plane is Plane.GAMMA:
-        p = squared_duffing_coefficient(delta, y)
-    else:
-        p = omega_coefficient(delta, y)
-    return monodromy(p, tol=tol).trace
+    return monodromy(plane.coefficient(delta, y), tol=tol).trace
 
 
-def _scan_cell(task: tuple[str, float, float, float, float]) -> tuple[float, int]:
-    plane_name, x, y, tol, tol_boundary = task
+def map_cells(fn: Callable, tasks: list, workers: int) -> list:
+    """``[fn(t) for t in tasks]``, in task order, over a process pool when
+    ``workers > 1``."""
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, tasks, chunksize=32))
+    return [fn(t) for t in tasks]
+
+
+def _refine_peak(f: Callable[[float], float], a: float, b: float,
+                 xatol: float) -> tuple[float, float]:
+    """Bounded maximisation of ``f`` on [a, b]: the maximiser and f there."""
+    res = minimize_scalar(lambda y: -f(y), bounds=(a, b), method="bounded",
+                          options={"xatol": xatol})
+    return float(res.x), float(-res.fun)
+
+
+def _scan_cell(task: tuple[Plane, float, float, float, float]) -> tuple[float, int]:
+    plane, x, y, tol, tol_boundary = task
     try:
-        if plane_name == Plane.GAMMA.value:
-            p = squared_duffing_coefficient(x, y)
-        else:
-            p = omega_coefficient(x, y)
-        report = monodromy(p, tol=tol, tol_boundary=tol_boundary)
+        report = monodromy(plane.coefficient(x, y), tol=tol, tol_boundary=tol_boundary)
     except (DomainError, IntegrationFailure):
         return (math.nan, FAILED_CODE)
     return (report.trace, _CLASS_CODE[report.classification])
@@ -141,15 +157,11 @@ def scan(
     xs = axis_values(*x_range, resolution[0])
     ys = axis_values(*y_range, resolution[1])
     tasks = [
-        (plane.value, float(x), float(y), float(integrator_tol), float(tol_boundary))
+        (plane, float(x), float(y), float(integrator_tol), float(tol_boundary))
         for x in xs
         for y in ys
     ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_cell, tasks, chunksize=32))
-    else:
-        results = [_scan_cell(t) for t in tasks]
+    results = map_cells(_scan_cell, tasks, workers)
 
     trace = np.empty((xs.size, ys.size))
     classification = np.empty((xs.size, ys.size), dtype=np.int8)
@@ -283,12 +295,10 @@ def trace_level_bracket(
                 peak_y, peak_val = float(ys[idx]), float(vals[idx])
                 break
             # near miss: refine the local maximum before giving up on it
-            a = ys[max(idx - 1, 0)]
-            b = ys[min(idx + 1, samples - 1)]
-            res = minimize_scalar(lambda y: -abs_trace(y), bounds=(a, b),
-                                  method="bounded", options={"xatol": 1e-9})
-            if -res.fun > threshold:
-                peak_y, peak_val = float(res.x), float(-res.fun)
+            y, val = _refine_peak(abs_trace, ys[max(idx - 1, 0)],
+                                  ys[min(idx + 1, samples - 1)], 1e-9)
+            if val > threshold:
+                peak_y, peak_val = y, val
                 break
         if peak_y is not None:
             break
@@ -304,7 +314,7 @@ def trace_level_bracket(
         step = (hi - lo) / samples
         y_in, y_out = peak_y, peak_y + direction * step
         for _ in range(200):
-            if plane is Plane.OMEGA and y_out <= y_floor:
+            if y_out <= y_floor:
                 y_out = y_floor
                 break
             if abs_trace(y_out) < threshold:
@@ -326,20 +336,22 @@ def trace_level_bracket(
 def asymptotic_classification(omega: float) -> AsymptoticClass:
     """Large-amplitude verdict from the interval families
     I_U = U_k ((k+1)(2k+1), (k+1)(2k+3)) and
-    I_S = U_k (k(2k+1), (k+1)(2k+1)); shared endpoints are Boundary."""
-    if not (omega > 0.0):
-        raise DomainError(f"need omega > 0, got {omega!r}")
-    k = 0
-    while True:
-        s_lo, s_hi = k * (2 * k + 1), (k + 1) * (2 * k + 1)
-        u_lo, u_hi = (k + 1) * (2 * k + 1), (k + 1) * (2 * k + 3)
-        if omega == s_lo or omega == s_hi or omega == u_hi:
-            return AsymptoticClass.BOUNDARY
-        if s_lo < omega < s_hi:
-            return AsymptoticClass.STABLE_AT_INFINITY
-        if u_lo < omega < u_hi:
-            return AsymptoticClass.UNSTABLE_AT_INFINITY
-        k += 1
+    I_S = U_k (k(2k+1), (k+1)(2k+1)); shared endpoints are Boundary.
+
+    The endpoints are the triangular numbers T_n = n(n+1)/2: I_S holds the
+    gaps (T_n, T_{n+1}) with n even and I_U those with n odd.
+    """
+    omega = float(omega)
+    if not (0.0 < omega < math.inf):
+        raise DomainError(f"need finite omega > 0, got {omega!r}")
+    # largest n with T_n <= omega, exactly: T_n is an integer, so
+    # T_n <= omega iff (2n+1)^2 <= 8 floor(omega) + 1
+    n = (math.isqrt(8 * math.floor(omega) + 1) - 1) // 2
+    if omega == n * (n + 1) // 2:
+        return AsymptoticClass.BOUNDARY
+    if n % 2 == 0:
+        return AsymptoticClass.STABLE_AT_INFINITY
+    return AsymptoticClass.UNSTABLE_AT_INFINITY
 
 
 _CROSSING_TABLE: tuple[tuple[float, float, bool, bool, int], ...] = (
@@ -392,10 +404,12 @@ def recount_crossings(
     genuinely exceeds 2.  Each unstable interval contributes two
     crossings, or one when it is still open at ``delta_max``.
     """
+    def abs_trace(d: float) -> float:
+        return abs(trace_at(Plane.OMEGA, d, omega, tol=integrator_tol))
+
     deltas = np.arange(coarse_step, delta_max + 0.5 * coarse_step, coarse_step)
-    traces = np.array([trace_at(Plane.OMEGA, d, omega, tol=integrator_tol)
-                       for d in deltas])
-    unstable = np.abs(traces) > 2.0
+    abstr = np.array([abs_trace(d) for d in deltas])
+    unstable = abstr > 2.0
 
     intervals: list[tuple[int, int]] = []
     i = 0
@@ -411,7 +425,6 @@ def recount_crossings(
             i += 1
 
     extra = 0
-    abstr = np.abs(traces)
     for i in range(1, n - 1):
         if unstable[i - 1] or unstable[i] or unstable[i + 1]:
             continue
@@ -419,12 +432,7 @@ def recount_crossings(
             continue
         if abstr[i] <= 2.0 - near_band:
             continue
-        res = minimize_scalar(
-            lambda d: -abs(trace_at(Plane.OMEGA, d, omega, tol=integrator_tol)),
-            bounds=(deltas[i - 1], deltas[i + 1]),
-            method="bounded", options={"xatol": 1e-8},
-        )
-        if -res.fun > 2.0:
+        if _refine_peak(abs_trace, deltas[i - 1], deltas[i + 1], 1e-8)[1] > 2.0:
             extra += 1
 
     count = 0
