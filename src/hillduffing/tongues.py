@@ -20,12 +20,14 @@ from typing import Callable, Iterable
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from .errors import BracketNotFound, DomainError, IntegrationFailure
+from .errors import BracketNotFound, DomainError
 from .hill import (
     DEFAULT_TOL,
     DEFAULT_TOL_BOUNDARY,
     PeriodicCoefficient,
     Stability,
+    classify_trace,
+    lane_traces,
     monodromy,
     omega_coefficient,
     squared_duffing_coefficient,
@@ -48,6 +50,21 @@ class Plane(enum.Enum):
             return squared_duffing_coefficient(delta, y)
         return omega_coefficient(delta, y)
 
+    def lane_pair(self, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(a, b) such that a + b c(s), with c(s) = delta^2 cn^2(sqrt(1 +
+        delta^2) s, k), is the coefficient at each (delta, y) of ``ys``.
+
+        The gamma plane is (gamma, 1).  The omega plane is (omega^2, omega)
+        after the time rescaling s = t / sqrt(omega), which leaves the
+        monodromy trace unchanged.  NaN marks a y with no coefficient
+        (omega <= 0).
+        """
+        ys = np.asarray(ys, dtype=float)
+        if self is Plane.GAMMA:
+            return ys, np.ones_like(ys)
+        omega = np.where(ys > 0.0, ys, math.nan)
+        return omega * omega, omega
+
 
 class StripVerdict(enum.Enum):
     STABLE = "stable"
@@ -66,6 +83,8 @@ def axis_values(lo: float, hi: float, count: int) -> np.ndarray:
     without accumulation error."""
     if count < 2:
         raise DomainError(f"resolution must be >= 2 per axis, got {count}")
+    if not math.isfinite(hi - lo):
+        raise DomainError(f"range must have finite endpoints and width, got ({lo}, {hi})")
     if not hi > lo:
         raise DomainError(f"range must be ordered, got ({lo}, {hi})")
     i = np.arange(count, dtype=float)
@@ -79,10 +98,10 @@ def trace_at(plane: Plane, delta: float, y: float, tol: float = DEFAULT_TOL) -> 
 
 def map_cells(fn: Callable, tasks: list, workers: int) -> list:
     """``[fn(t) for t in tasks]``, in task order, over a process pool when
-    ``workers > 1``."""
+    ``workers > 1``; each worker gets about four chunks of tasks."""
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, tasks, chunksize=32))
+            return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
     return [fn(t) for t in tasks]
 
 
@@ -94,13 +113,21 @@ def _refine_peak(f: Callable[[float], float], a: float, b: float,
     return float(res.x), float(-res.fun)
 
 
-def _scan_cell(task: tuple[Plane, float, float, float, float]) -> tuple[float, int]:
-    plane, x, y, tol, tol_boundary = task
+def _scan_column(task: tuple[Plane, float, np.ndarray, float, float]
+                 ) -> tuple[list, list, int, int]:
+    """Traces, class codes, steps and right-hand-side calls of one grid
+    column (fixed delta), integrated as one batch of lanes."""
+    plane, x, ys, tol, tol_boundary = task
     try:
-        report = monodromy(plane.coefficient(x, y), tol=tol, tol_boundary=tol_boundary)
-    except (DomainError, IntegrationFailure):
-        return (math.nan, FAILED_CODE)
-    return (report.trace, _CLASS_CODE[report.classification])
+        # offset 0 leaves the shared c(s) = x^2 cn^2(sqrt(1 + x^2) s, k)
+        c = squared_duffing_coefficient(x, 0.0)
+    except DomainError:
+        return [math.nan] * ys.size, [FAILED_CODE] * ys.size, 0, 0
+    lanes = lane_traces(c, *plane.lane_pair(ys), tol=tol)
+    traces = lanes.trace.tolist()
+    codes = [FAILED_CODE if math.isnan(t) else _CLASS_CODE[classify_trace(t, tol_boundary)]
+             for t in traces]
+    return traces, codes, lanes.steps, lanes.rhs_evals
 
 
 @dataclass
@@ -146,29 +173,27 @@ def scan(
     tol_boundary: float = DEFAULT_TOL_BOUNDARY,
     workers: int = 1,
 ) -> StabilityGrid:
-    """Fill a StabilityGrid by one monodromy computation per cell.
+    """Fill a StabilityGrid with the monodromy trace of every cell.
 
-    Cells are independent; with ``workers > 1`` they are distributed over
-    a process pool.  Results land in preallocated slots keyed by cell
-    index, so the output is deterministic regardless of scheduling.  Cells
-    whose coefficient is invalid (for example delta = 0) or whose
-    integration fails are recorded as NaN; the scan itself never aborts.
+    Each grid column (one delta) is one task: its cells share the
+    coefficient's period and Jacobi evaluations, so ``hill.lane_traces``
+    integrates them together to half the period.  Traces therefore agree
+    with ``trace_at`` within the integrator tolerance, not bit for bit.
+    With ``workers > 1`` the columns are distributed over a process pool;
+    the lanes of a task are fixed by the grid, never by the worker count,
+    so the output is byte-identical for any number of workers.  Cells
+    whose coefficient is invalid (delta = 0, omega <= 0) or whose
+    integration fails alone are recorded as NaN; the scan itself never
+    aborts.  ``meta`` adds the summed integration ``steps``, right-hand-side
+    calls ``rhs_evals`` (each covering a whole column) and ``failed_cells``.
     """
     xs = axis_values(*x_range, resolution[0])
     ys = axis_values(*y_range, resolution[1])
-    tasks = [
-        (plane, float(x), float(y), float(integrator_tol), float(tol_boundary))
-        for x in xs
-        for y in ys
-    ]
-    results = map_cells(_scan_cell, tasks, workers)
+    tasks = [(plane, float(x), ys, float(integrator_tol), float(tol_boundary)) for x in xs]
+    results = map_cells(_scan_column, tasks, workers)
 
-    trace = np.empty((xs.size, ys.size))
-    classification = np.empty((xs.size, ys.size), dtype=np.int8)
-    for idx, (tr, code) in enumerate(results):
-        i, j = divmod(idx, ys.size)
-        trace[i, j] = tr
-        classification[i, j] = code
+    trace = np.array([r[0] for r in results])
+    classification = np.array([r[1] for r in results], dtype=np.int8)
     meta = {
         "plane": plane.value,
         "x_range": [float(x_range[0]), float(x_range[1])],
@@ -177,6 +202,9 @@ def scan(
         "integrator_tol": float(integrator_tol),
         "tol_boundary": float(tol_boundary),
         "level_threshold": 2.0 - float(tol_boundary),
+        "steps": sum(r[2] for r in results),
+        "rhs_evals": sum(r[3] for r in results),
+        "failed_cells": int(np.count_nonzero(classification == FAILED_CODE)),
     }
     return StabilityGrid(plane, xs, ys, trace, classification, meta)
 
@@ -403,6 +431,12 @@ def recount_crossings(
     maximisation and counts as a crossing pair when the refined trace
     genuinely exceeds 2.  Each unstable interval contributes two
     crossings, or one when it is still open at ``delta_max``.
+
+    The default ``delta_max = 6`` undercounts the table: it gives 2 / 4 /
+    5 / 4 where ``crossing_count`` gives 3 / 6 / 8 / 9 at omega = 2.5 /
+    4.5 / 5.5 / 6.5 (``delta_max = 12`` gives 3 at 2.5).  A longer default
+    sweep waits for batched delta-sweeps, since one point costs one
+    serial monodromy today.
     """
     def abs_trace(d: float) -> float:
         return abs(trace_at(Plane.OMEGA, d, omega, tol=integrator_tol))

@@ -1,16 +1,23 @@
-"""Non-finite inputs, large frequency ratios and the criteria-map pool path."""
+"""Non-finite inputs, large frequency ratios, lane failures and the cell map."""
 
 import math
 
+import numpy as np
 import pytest
 
 from hillduffing import (
     AsymptoticClass,
     DomainError,
+    Plane,
     asymptotic_classification,
+    monodromy,
+    omega_coefficient,
+    scan,
     squared_duffing_coefficient,
+    tongues,
 )
 from hillduffing.cli import main
+from hillduffing.hill import lane_traces
 
 
 class TestAsymptoticClassification:
@@ -46,3 +53,68 @@ def test_criteria_map_worker_count_invariant(tmp_path, capsys):
     assert main(args + ["--workers", "1", "--out", str(tmp_path / "w1")]) == 0
     assert main(args + ["--workers", "2", "--out", str(tmp_path / "w2")]) == 0
     assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
+
+
+def test_scan_rejects_non_finite_range_from_python():
+    with pytest.raises(DomainError, match="range"):
+        scan(Plane.GAMMA, (0.5, 1.0), (0.0, math.inf), (2, 2))
+
+
+def test_omega_zero_row_is_nan_and_neighbours_unaffected():
+    grid = scan(Plane.OMEGA, (0.5, 1.0), (0.0, 1.0), (2, 3))
+    assert np.isnan(grid.trace[:, 0]).all()
+    assert (grid.classification[:, 0] == 3).all()
+    for i, delta in enumerate(grid.x_values):
+        for j in (1, 2):
+            want = monodromy(omega_coefficient(delta, grid.y_values[j])).trace
+            assert grid.trace[i, j] == pytest.approx(want, rel=1e-8)
+    assert grid.meta["failed_cells"] == 2
+
+
+class TestLaneFailures:
+    c = squared_duffing_coefficient(1.0, 0.0)
+
+    def test_non_finite_lane_is_masked_out(self):
+        alone = lane_traces(self.c, [0.5], [1.0])
+        mixed = lane_traces(self.c, [math.nan, 0.5, math.inf], [1.0, 1.0, 1.0])
+        assert np.isnan(mixed.trace[[0, 2]]).all()
+        assert mixed.trace[1] == alone.trace[0]
+        assert mixed.steps == alone.steps
+
+    def test_step_cap_reruns_each_lane_alone(self):
+        alone = lane_traces(self.c, [0.5], [1.0])
+        # the fast lane needs more steps than the slow one alone takes
+        both = lane_traces(self.c, [0.5, 400.0], [1.0, 1.0], max_steps=alone.steps)
+        assert both.trace[0] == alone.trace[0]
+        assert np.isnan(both.trace[1])
+        assert both.steps > alone.steps
+
+
+class _RecordingPool:
+    chunksizes: list = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize):
+        self.chunksizes.append((len(tasks), self.max_workers, chunksize))
+        return map(fn, tasks)
+
+
+def test_map_cells_chunks_by_task_and_worker_count(monkeypatch):
+    monkeypatch.setattr(tongues, "ProcessPoolExecutor", _RecordingPool)
+    _RecordingPool.chunksizes = []
+    assert tongues.map_cells(abs, list(range(-26, 0)), 2) == list(range(26, 0, -1))
+    assert tongues.map_cells(abs, [-1, -2], 2) == [1, 2]
+    assert _RecordingPool.chunksizes == [(26, 2, 3), (2, 2, 1)]
+
+
+def test_map_cells_one_worker_starts_no_pool(monkeypatch):
+    monkeypatch.setattr(tongues, "ProcessPoolExecutor", None)
+    assert tongues.map_cells(abs, [-1, 2], 1) == [1, 2]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hillduffing.errors import BracketNotFound, DomainError
-from hillduffing.hill import monodromy, squared_duffing_coefficient
+from hillduffing.hill import lane_traces, monodromy, squared_duffing_coefficient
 from hillduffing.tongues import (
     AsymptoticClass,
     Plane,
@@ -222,3 +222,45 @@ class TestCrossingCount:
 class TestRecount:
     def test_stable_strip_has_no_crossings(self):
         assert recount_crossings(0.5, delta_max=3.0) == 0
+
+
+def _monodromy_trace(plane, x, y):
+    return monodromy(plane.coefficient(float(x), float(y))).trace
+
+
+def _worst_relative_gap(grid):
+    worst = 0.0
+    for i, x in enumerate(grid.x_values):
+        for j, y in enumerate(grid.y_values):
+            want = _monodromy_trace(grid.plane, x, y)
+            worst = max(worst, abs(grid.trace[i, j] - want) / max(1.0, abs(want)))
+    return worst
+
+
+class TestColumnKernel:
+    def test_gamma_scan_matches_monodromy(self):
+        # gamma < 0, the stable strip, the first tongue (1, 1 + delta^2/2)
+        # and above it, for delta from 0.05 to 5
+        grid = scan(Plane.GAMMA, (0.05, 5.0), (-2.0, 6.0), (5, 9))
+        assert (grid.y_values < 0).any()
+        assert any(1.0 < g < 1.0 + d * d / 2.0 for d in grid.x_values for g in grid.y_values)
+        assert _worst_relative_gap(grid) <= 1e-8
+
+    def test_omega_scan_matches_monodromy(self):
+        grid = scan(Plane.OMEGA, (0.05, 5.0), (0.2, 3.2), (5, 6))
+        assert (grid.y_values < 1).any() and (grid.y_values > 1).any()
+        assert _worst_relative_gap(grid) <= 1e-8
+
+    @pytest.mark.parametrize("delta,gamma", [(0.05, 0.5), (1.0, -1.0), (1.0, 1.2),
+                                             (2.0, 4.5), (5.0, 3.0)])
+    def test_half_period_trace_equals_full_period(self, delta, gamma):
+        c = squared_duffing_coefficient(delta, 0.0)
+        half = lane_traces(c, [gamma], [1.0]).trace[0]
+        full = monodromy(squared_duffing_coefficient(delta, gamma)).trace
+        assert half == pytest.approx(full, rel=1e-8, abs=1e-8)
+
+    def test_meta_work_counters(self):
+        grid = scan(Plane.GAMMA, (0.0, 1.0), (0.0, 1.0), (2, 3))
+        assert grid.meta["steps"] > 0
+        assert grid.meta["rhs_evals"] > 0
+        assert grid.meta["failed_cells"] == 3
