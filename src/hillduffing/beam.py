@@ -197,13 +197,3 @@ def mode_stability(
     p = omega_coefficient(delta, pair.omega)
     return monodromy(p, tol=tol, tol_boundary=tol_boundary).classification
 
-
-TRAJECTORY_COLUMNS = ("t", "w", "w_dot", "z", "z_dot", "energy")
-
-
-def write_trajectory_csv(result: SimulationResult, path) -> None:
-    """Write the down-sampled trajectory as t,w,w_dot,z,z_dot,energy rows."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(TRAJECTORY_COLUMNS) + "\n")
-        for row in result.trajectory:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")

@@ -220,12 +220,13 @@ def lane_traces(
     is.  Then the even and odd principal solutions u1, u2 give the trace
     2 (u1 u2' + u1' u2) at half the period (Magnus & Winkler, *Hill's
     Equation*, 1966), so the lanes are integrated only to P/2.  They step
-    together, which costs one evaluation of ``c`` per stage for the whole
-    batch.  A lane whose a_i or b_i is not finite gets NaN and takes no
-    part in the step-size control.  If the batch hits the step cap or the
-    step size underflows, every lane is integrated again alone, and a lane
-    that fails alone gets NaN.  Traces agree with ``monodromy`` within the
-    integrator tolerance, not bit for bit.
+    together on scipy's DOP853 with the error norm taken per lane
+    (``integrate.solve_lanes``), which costs one evaluation of ``c`` per
+    stage for the whole batch.  A lane whose a_i or b_i is not finite gets
+    NaN and takes no part in the step-size control.  If the batch hits the
+    step cap or the step size underflows, every lane is integrated again
+    alone, and a lane that fails alone gets NaN.  Traces agree with
+    ``monodromy`` within the integrator tolerance, not bit for bit.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -236,10 +237,11 @@ def lane_traces(
         neg_a, neg_b = -a[lanes], -b[lanes]
 
         def rhs(t: float, y: np.ndarray) -> np.ndarray:
-            # rows u1, u1', u2, u2'
+            # flat state; rows u1, u1', u2, u2' of the (4, lanes) view
             f = np.empty_like(y)
-            f[0::2] = y[1::2]
-            np.multiply(neg_a + neg_b * cf(t), y[0::2], out=f[1::2])
+            y4, f4 = y.reshape(4, -1), f.reshape(4, -1)
+            f4[0::2] = y4[1::2]
+            np.multiply(neg_a + neg_b * cf(t), y4[0::2], out=f4[1::2])
             return f
 
         y0 = np.zeros((4, lanes.size))

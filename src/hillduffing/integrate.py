@@ -1,16 +1,17 @@
 """Embedded Runge-Kutta integration with a step cap, per system or in lanes.
 
-``solve_final`` and ``solve_sampled`` wrap scipy's DOP853 for one system.
-They add the two behaviours the library contracts require and scipy's
+Every entry point runs scipy's DOP853 through one step loop, which adds
+the two behaviours the library contracts require and scipy's
 ``solve_ivp`` does not expose directly: a hard cap on the number of
 accepted steps (so pathological coefficients cannot hang a computation)
-and an ``IntegrationFailure`` raised on step-size underflow.
+and a failure reported on step-size underflow.
 
-``solve_lanes`` steps many independent systems ("lanes") together on one
-time grid with the same DOP853 tableau and step-size controller, keeping
-the error control per lane (Hairer, Norsett & Wanner, *Solving ODEs I*,
-II.10).  It reports a failure instead of raising, so its caller can retry
-the lanes one at a time.  Every entry point uses rtol = atol = tol.
+``solve_final`` and ``solve_sampled`` integrate one system and raise
+``IntegrationFailure``.  ``solve_lanes`` steps many independent systems
+("lanes") together on one time grid, keeping the error control per lane
+(Hairer, Norsett & Wanner, *Solving ODEs I*, II.10); it reports a
+failure instead of raising, so its caller can retry the lanes one at a
+time.  Every entry point uses rtol = atol = tol.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import DOP853
-from scipy.integrate._ivp import dop853_coefficients as _dop
-from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY
 
 from .errors import IntegrationFailure
 
@@ -33,6 +32,23 @@ def _check_tol(tol: float) -> float:
     if not 1e-12 <= tol <= 1e-6:
         raise ValueError(f"tolerance must lie in [1e-12, 1e-6], got {tol!r}")
     return tol
+
+
+def _march(solver: DOP853, max_steps: int, on_step=None) -> tuple[int, str | None]:
+    """Step ``solver`` to its end, calling ``on_step(solver)`` after each
+    accepted step.  Returns the steps taken and None, or the reason the
+    integration stopped early (step cap or underflow)."""
+    steps = 0
+    while solver.status == "running":
+        solver.step()
+        steps += 1
+        if steps > max_steps:
+            return steps, f"step cap {max_steps} exceeded at t={solver.t}"
+        if solver.status == "failed":
+            return steps, f"step size underflow at t={solver.t}"
+        if on_step is not None:
+            on_step(solver)
+    return steps, None
 
 
 def solve_final(
@@ -49,14 +65,9 @@ def solve_final(
     if t1 == t0:
         return y0.copy()
     solver = DOP853(rhs, t0, y0, t1, rtol=tol, atol=tol)
-    steps = 0
-    while solver.status == "running":
-        solver.step()
-        steps += 1
-        if steps > max_steps:
-            raise IntegrationFailure(f"step cap {max_steps} exceeded at t={solver.t}")
-    if solver.status == "failed":
-        raise IntegrationFailure(f"step size underflow at t={solver.t}")
+    _, failure = _march(solver, max_steps)
+    if failure is not None:
+        raise IntegrationFailure(failure)
     return solver.y
 
 
@@ -82,34 +93,45 @@ def solve_sampled(
     if t_samples.size and t_samples[0] == t0:
         out[0] = y0
         filled = 1
-    solver = DOP853(rhs, t0, y0, t1, rtol=tol, atol=tol)
-    steps = 0
-    while solver.status == "running":
-        solver.step()
-        steps += 1
-        if steps > max_steps:
-            raise IntegrationFailure(f"step cap {max_steps} exceeded at t={solver.t}")
-        if solver.status == "failed":
-            raise IntegrationFailure(f"step size underflow at t={solver.t}")
+
+    def fill(solver: DOP853) -> None:
+        nonlocal filled
         hi = np.searchsorted(t_samples, solver.t, side="right")
         if hi > filled:
             dense = solver.dense_output()
             out[filled:hi] = dense(t_samples[filled:hi]).T
             filled = hi
+
+    solver = DOP853(rhs, t0, y0, t1, rtol=tol, atol=tol)
+    _, failure = _march(solver, max_steps, fill)
+    if failure is not None:
+        raise IntegrationFailure(failure)
     if filled < t_samples.size:
         # trailing samples equal t1 up to rounding of the final step
         out[filled:] = solver.y
     return out
 
 
-_STAGES = _dop.N_STAGES
-_A = _dop.A[:_STAGES, :_STAGES]
-_B = _dop.B
-_C = _dop.C[:_STAGES]
-_E3 = _dop.E3
-_E5 = _dop.E5
-_ERROR_EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
 _TINY = np.finfo(float).tiny
+
+
+class _LaneDOP853(DOP853):
+    """DOP853 over n lanes of m components held as one flat, component-major
+    state (an (m, n) array raveled).  The error norm of a step is the
+    largest of scipy's DOP853 norms taken over each lane's own m
+    components."""
+
+    def __init__(self, fun, t0, y0, t_bound, m, **options):
+        self.lane_size = m
+        super().__init__(fun, t0, y0, t_bound, **options)
+
+    def _estimate_error_norm(self, K, h, scale):
+        m = self.lane_size
+        err5 = ((np.dot(K.T, self.E5) / scale).reshape(m, -1) ** 2).sum(axis=0)
+        err3 = ((np.dot(K.T, self.E3) / scale).reshape(m, -1) ** 2).sum(axis=0)
+        # both sums vanish together only for an exact step, whose norm is 0
+        denom = np.maximum(err5 + 0.01 * err3, _TINY)
+        return float((abs(h) * err5 / np.sqrt(denom * m)).max())
 
 
 @dataclass(frozen=True)
@@ -117,38 +139,16 @@ class LaneSolution:
     """End of a lockstep integration.
 
     ``y`` has the shape of the initial state, one column per lane.
-    ``steps`` counts accepted steps and ``rhs_evals`` calls of the
-    right-hand side, each of which covers every lane.  ``failure`` is None,
-    or the reason (step cap or underflow) the batch stopped early, in which
-    case ``y`` is meaningless.
+    ``steps`` counts steps, with the one that failed if any, and
+    ``rhs_evals`` calls of the right-hand side, each of which covers every
+    lane.  ``failure`` is None, or the reason (step cap or underflow) the
+    batch stopped early, in which case ``y`` is meaningless.
     """
 
     y: np.ndarray
     steps: int
     rhs_evals: int
     failure: str | None = None
-
-
-def _rms(x: np.ndarray) -> np.ndarray:
-    """Per-lane RMS norm over the components (axis 0)."""
-    return np.sqrt(np.mean(x * x, axis=0))
-
-
-def _initial_step(rhs, t0, y0, f0, span, tol) -> float:
-    """scipy's starting-step rule (Hairer, Norsett & Wanner II.4) applied to
-    every lane, taking the smallest trial and proposed steps; it calls
-    ``rhs`` once."""
-    scale = tol + np.abs(y0) * tol
-    d0 = _rms(y0 / scale)
-    d1 = _rms(f0 / scale)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
-        h0 = min(float(h0.min()), span)
-        d2 = _rms((rhs(t0 + h0, y0 + h0 * f0) - f0) / scale) / h0
-        dmax = np.maximum(d1, d2)
-        h1 = np.where(dmax <= 1e-15, max(1e-6, h0 * 1e-3),
-                      (0.01 / dmax) ** (-_ERROR_EXPONENT))
-    return min(100.0 * h0, float(h1.min()), span)
 
 
 def solve_lanes(
@@ -162,57 +162,20 @@ def solve_lanes(
     """Integrate y' = rhs(t, y) from t0 to t1 > t0 for a batch of lanes.
 
     ``y0`` has shape (m, n): n independent systems of m components, which
-    share every time point, so ``rhs`` is called with a scalar t and an
-    (m, n) state.  Each lane's error is measured with scipy's DOP853 norm
-    over its own m components, and a step is accepted only when the
-    largest lane norm is below one, so every lane meets at least the
-    tolerance it would be held to alone.  A non-finite lane norm rejects
-    the step, as it does in scipy.
+    share every time point.  ``rhs`` is called with a scalar t and the
+    flat state, laid out as ``y0.ravel()``, and returns its flat
+    derivative, so it can work on an (m, n) view through
+    ``reshape(m, -1)``.  Each lane's error
+    is measured with scipy's DOP853 norm over its own m components, and a
+    step is accepted only when the largest lane norm is below one, so
+    every lane meets at least the tolerance it would be held to alone.  A
+    non-finite lane norm rejects the step, as it does in scipy.  The first
+    step is scipy's choice for the whole flat batch.
     """
     tol = _check_tol(tol)
     if not t1 > t0:
         raise ValueError(f"need t1 > t0, got t0={t0!r}, t1={t1!r}")
-    y = np.array(y0, dtype=float)
-    m = y.shape[0]
-    K = np.empty((_STAGES + 1,) + y.shape)
-    Kf = K.reshape(_STAGES + 1, -1)
-    f = rhs(t0, y)
-    h_abs = _initial_step(rhs, t0, y, f, t1 - t0, tol)
-    nfev = 2
-    t = t0
-    steps = 0
-    while t < t1:
-        min_step = 10.0 * abs(np.nextafter(t, np.inf) - t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
-        while True:
-            if h_abs < min_step:
-                return LaneSolution(y, steps, nfev, f"step size underflow at t={t}")
-            t_new = min(t + h_abs, t1)
-            h = t_new - t
-            h_abs = h
-            K[0] = f
-            for s in range(1, _STAGES):
-                K[s] = rhs(t + _C[s] * h, y + h * (_A[s, :s] @ Kf[:s]).reshape(y.shape))
-            y_new = y + h * (_B @ Kf[:_STAGES]).reshape(y.shape)
-            f_new = rhs(t + h, y_new)
-            K[_STAGES] = f_new
-            nfev += _STAGES
-            scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
-            err5 = np.sum(((_E5 @ Kf).reshape(y.shape) / scale) ** 2, axis=0)
-            err3 = np.sum(((_E3 @ Kf).reshape(y.shape) / scale) ** 2, axis=0)
-            # both sums vanish together only for an exact step, whose norm is 0
-            denom = np.maximum(err5 + 0.01 * err3, _TINY)
-            error_norm = float(np.max(h * err5 / np.sqrt(denom * m)))
-            if error_norm < 1.0:
-                factor = (MAX_FACTOR if error_norm == 0.0
-                          else min(MAX_FACTOR, SAFETY * error_norm ** _ERROR_EXPONENT))
-                h_abs *= min(1.0, factor) if rejected else factor
-                break
-            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** _ERROR_EXPONENT)
-            rejected = True
-        t, y, f = t_new, y_new, f_new
-        steps += 1
-        if steps > max_steps:
-            return LaneSolution(y, steps, nfev, f"step cap {max_steps} exceeded at t={t}")
-    return LaneSolution(y, steps, nfev)
+    y0 = np.asarray(y0, dtype=float)
+    solver = _LaneDOP853(rhs, t0, y0.ravel(), t1, y0.shape[0], rtol=tol, atol=tol)
+    steps, failure = _march(solver, max_steps)
+    return LaneSolution(solver.y.reshape(y0.shape), steps, solver.nfev, failure)

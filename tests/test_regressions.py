@@ -18,6 +18,7 @@ from hillduffing import (
 )
 from hillduffing.cli import main
 from hillduffing.hill import lane_traces
+from hillduffing.integrate import solve_final, solve_lanes
 
 
 class TestAsymptoticClassification:
@@ -88,6 +89,26 @@ class TestLaneFailures:
         assert both.trace[0] == alone.trace[0]
         assert np.isnan(both.trace[1])
         assert both.steps > alone.steps
+
+
+@pytest.mark.parametrize("delta, gamma", [(1, 0.5), (3, -1), (0.3, 4), (2, 1.2)])
+def test_one_lane_reproduces_solve_final(delta, gamma):
+    p = squared_duffing_coefficient(delta, gamma)
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        pt = p.func(t)
+        return np.array([y[1], -pt * y[0], y[3], -pt * y[2]])
+
+    y0 = (1.0, 0.0, 0.0, 1.0)
+    final = solve_final(rhs, 0.0, p.period, y0, 1e-10)
+    final_calls = len(calls)
+    calls.clear()
+    lanes = solve_lanes(rhs, 0.0, p.period, np.reshape(y0, (4, 1)), 1e-10)
+    assert lanes.failure is None
+    assert lanes.rhs_evals == len(calls) == final_calls
+    assert np.array_equal(lanes.y[:, 0], final)
 
 
 class _RecordingPool:
