@@ -131,14 +131,15 @@ def simulate(
     is integrated at full adaptive resolution and down-sampled to
     ``samples`` rows for output.
     """
-    if delta == 0.0:
-        raise DomainError("delta must be nonzero")
+    params = DuffingParams(delta, pair.omega)
     if not 0.0 < z_ratio <= 0.1:
         raise DomainError(f"z_ratio must lie in (0, 0.1], got {z_ratio!r}")
     if horizon is None:
-        horizon = 50.0 * period(DuffingParams(delta, pair.omega))
-    if not horizon > 0.0:
-        raise DomainError(f"horizon must be positive, got {horizon!r}")
+        horizon = 50.0 * period(params)
+    if not 0.0 < horizon < math.inf:
+        raise DomainError(f"horizon must be finite and positive, got {horizon!r}")
+    if not 1.0 < growth_factor < math.inf:
+        raise DomainError(f"growth_factor must be finite and > 1, got {growth_factor!r}")
 
     m2 = float(pair.m * pair.m)
     n2 = float(pair.n * pair.n)

@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage/config error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import os
@@ -153,12 +154,7 @@ def _cmd_tongue_bracket(args: argparse.Namespace) -> int:
           f"lower={sample.lower:.17g} upper={sample.upper:.17g} "
           f"(threshold {sample.threshold:.17g}, peak |trace| {sample.peak_trace:.17g})")
     if args.out:
-        payload = {
-            "plane": args.plane, "ell": sample.ell, "delta": sample.delta,
-            "lower": sample.lower, "upper": sample.upper,
-            "threshold": sample.threshold, "peak": sample.peak,
-            "peak_trace": sample.peak_trace,
-        }
+        payload = dict(dataclasses.asdict(sample), plane=args.plane)
         _write_text(args.out, [json.dumps(payload, indent=2, sort_keys=True)])
     return 0
 

@@ -142,7 +142,10 @@ def mathieu_coefficient(a: float, q: float) -> PeriodicCoefficient:
 
 
 def classify_trace(trace: float, tol_boundary: float = DEFAULT_TOL_BOUNDARY) -> Stability:
-    """Classify a monodromy trace against the |trace| = 2 resonance level."""
+    """Classify a monodromy trace against the |trace| = 2 resonance level,
+    with a boundary band of half-width ``tol_boundary`` in [0, 2)."""
+    if not 0.0 <= tol_boundary < 2.0:
+        raise DomainError(f"tol_boundary must lie in [0, 2), got {tol_boundary!r}")
     if abs(trace) < 2.0 - tol_boundary:
         return Stability.STABLE
     if abs(trace) > 2.0 + tol_boundary:

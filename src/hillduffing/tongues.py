@@ -20,10 +20,11 @@ from typing import Callable, Iterable
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from .errors import BracketNotFound, DomainError
+from .errors import BracketNotFound, DomainError, IntegrationFailure
 from .hill import (
     DEFAULT_TOL,
     DEFAULT_TOL_BOUNDARY,
+    LaneTraces,
     PeriodicCoefficient,
     Stability,
     classify_trace,
@@ -113,17 +114,29 @@ def _refine_peak(f: Callable[[float], float], a: float, b: float,
     return float(res.x), float(-res.fun)
 
 
+def _column(plane: Plane, delta: float, ys, tol: float) -> LaneTraces:
+    """Traces at (delta, y) for every y of ``ys``, one batch of lanes."""
+    # offset 0 leaves the shared c(s) = delta^2 cn^2(sqrt(1 + delta^2) s, k)
+    return lane_traces(squared_duffing_coefficient(delta, 0.0), *plane.lane_pair(ys), tol=tol)
+
+
+def _line(plane: Plane, delta: float, ys, tol: float) -> np.ndarray:
+    """|trace| of ``_column`` for a line search, where a failed lane raises."""
+    trace = _column(plane, delta, ys, tol).trace
+    if np.isnan(trace).any():
+        raise IntegrationFailure(f"a lane failed on the {plane.value} line at delta={delta!r}")
+    return np.abs(trace)
+
+
 def _scan_column(task: tuple[Plane, float, np.ndarray, float, float]
                  ) -> tuple[list, list, int, int]:
     """Traces, class codes, steps and right-hand-side calls of one grid
-    column (fixed delta), integrated as one batch of lanes."""
+    column (fixed delta)."""
     plane, x, ys, tol, tol_boundary = task
     try:
-        # offset 0 leaves the shared c(s) = x^2 cn^2(sqrt(1 + x^2) s, k)
-        c = squared_duffing_coefficient(x, 0.0)
+        lanes = _column(plane, x, ys, tol)
     except DomainError:
         return [math.nan] * ys.size, [FAILED_CODE] * ys.size, 0, 0
-    lanes = lane_traces(c, *plane.lane_pair(ys), tol=tol)
     traces = lanes.trace.tolist()
     codes = [FAILED_CODE if math.isnan(t) else _CLASS_CODE[classify_trace(t, tol_boundary)]
              for t in traces]
@@ -189,6 +202,7 @@ def scan(
     """
     xs = axis_values(*x_range, resolution[0])
     ys = axis_values(*y_range, resolution[1])
+    classify_trace(0.0, tol_boundary)  # rejects a bad band up front
     tasks = [(plane, float(x), ys, float(integrator_tol), float(tol_boundary)) for x in xs]
     results = map_cells(_scan_column, tasks, workers)
 
@@ -287,9 +301,10 @@ def trace_level_bracket(
 
     The window is seeded from the exact first-tongue boundary (ell = 1) or
     the parabolic bounds (ell >= 2), generously padded because those are
-    only small-amplitude asymptotics.  The window is sampled, local maxima
-    of |trace| near the threshold are refined, and bisection runs from the
-    refined interior point out to the stable side.
+    only small-amplitude asymptotics.  The window is sampled as one scan
+    column; local maxima of |trace| near the threshold are refined, and
+    bisection runs from the refined interior point out to the stable side,
+    each point on ``monodromy`` (as is the reported ``peak_trace``).
 
     Raises
     ------
@@ -314,13 +329,14 @@ def trace_level_bracket(
     peak_y = peak_val = None
     for _ in range(3):
         ys = np.linspace(lo, hi, samples)
-        vals = np.array([abs_trace(y) for y in ys])
+        vals = _line(plane, delta, ys, integrator_tol)
         order = np.argsort(vals)[::-1]
         for idx in order[:8]:
             if vals[idx] <= threshold - 0.6:
                 break
             if vals[idx] > threshold:
-                peak_y, peak_val = float(ys[idx]), float(vals[idx])
+                peak_y = float(ys[idx])
+                peak_val = abs_trace(peak_y)
                 break
             # near miss: refine the local maximum before giving up on it
             y, val = _refine_peak(abs_trace, ys[max(idx - 1, 0)],
@@ -425,51 +441,33 @@ def recount_crossings(
 ) -> int:
     """Recount resonance-line crossings from a fine trace scan along delta.
 
-    Grid cells with |trace| > 2 mark unstable runs directly.  Tongues
-    thinner than the grid leave a near-miss signature (a local maximum of
-    |trace| just under 2); each such maximum is refined by bounded
-    maximisation and counts as a crossing pair when the refined trace
-    genuinely exceeds 2.  Each unstable interval contributes two
-    crossings, or one when it is still open at ``delta_max``.
+    Each grid point is a one-lane scan column.  Grid cells with |trace| > 2
+    mark unstable runs directly: from the stable start near delta = 0,
+    every switch between stable and unstable cells is one crossing, so a
+    run contributes two, or one when it is still open at ``delta_max``.
+    Tongues thinner than the grid leave a near-miss signature (a local
+    maximum of |trace| just under 2); each such maximum is refined by
+    bounded maximisation and counts as a crossing pair when the refined
+    trace genuinely exceeds 2.
 
     The default ``delta_max = 6`` undercounts the table: it gives 2 / 4 /
     5 / 4 where ``crossing_count`` gives 3 / 6 / 8 / 9 at omega = 2.5 /
     4.5 / 5.5 / 6.5 (``delta_max = 12`` gives 3 at 2.5).  A longer default
-    sweep waits for batched delta-sweeps, since one point costs one
-    serial monodromy today.
+    sweep waits for batched delta-sweeps.
     """
+    omega = float(omega)
+    if not 0.0 < omega < math.inf:
+        raise DomainError(f"need finite omega > 0, got {omega!r}")
+
     def abs_trace(d: float) -> float:
         return abs(trace_at(Plane.OMEGA, d, omega, tol=integrator_tol))
 
     deltas = np.arange(coarse_step, delta_max + 0.5 * coarse_step, coarse_step)
-    abstr = np.array([abs_trace(d) for d in deltas])
+    abstr = np.array([_line(Plane.OMEGA, d, [omega], integrator_tol)[0] for d in deltas])
     unstable = abstr > 2.0
-
-    intervals: list[tuple[int, int]] = []
-    i = 0
-    n = deltas.size
-    while i < n:
-        if unstable[i]:
-            j = i
-            while j + 1 < n and unstable[j + 1]:
-                j += 1
-            intervals.append((i, j))
-            i = j + 1
-        else:
-            i += 1
-
-    extra = 0
-    for i in range(1, n - 1):
-        if unstable[i - 1] or unstable[i] or unstable[i + 1]:
-            continue
-        if not (abstr[i] >= abstr[i - 1] and abstr[i] >= abstr[i + 1]):
-            continue
-        if abstr[i] <= 2.0 - near_band:
-            continue
-        if _refine_peak(abs_trace, deltas[i - 1], deltas[i + 1], 1e-8)[1] > 2.0:
-            extra += 1
-
-    count = 0
-    for i0, i1 in intervals:
-        count += 1 if i1 == n - 1 else 2
-    return count + 2 * extra
+    mid = abstr[1:-1]
+    near = ~(unstable[:-2] | unstable[1:-1] | unstable[2:]) & (mid > 2.0 - near_band) \
+        & (mid >= abstr[:-2]) & (mid >= abstr[2:])
+    extra = sum(_refine_peak(abs_trace, deltas[i - 1], deltas[i + 1], 1e-8)[1] > 2.0
+                for i in np.flatnonzero(near) + 1)
+    return int(np.count_nonzero(np.diff(unstable, prepend=False))) + 2 * extra

@@ -5,11 +5,14 @@ reproduce (special-function identities, the exact resonant lines, the
 closed-form criterion identities, tongue geometry, the two-mode energy
 transfer dichotomy) and reports measured against expected.  The pytest
 suite is the authoritative gate; these checks are the quick, scriptable
-subset.
+subset.  A suite is a table of rows (name, measure, judge); ``run_suite``
+calls each ``measure()`` once and ``judge`` turns the value into
+(passed, measured text, expected text).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,30 +33,19 @@ class CheckResult:
         return f"{status}  {self.name}: measured {self.measured}, expected {self.expected}"
 
 
-def _close(name: str, value: float, target: float, tol: float) -> CheckResult:
-    return CheckResult(name, abs(value - target) <= tol,
-                       f"{value:.12g}", f"{target:.12g} +- {tol:g}")
+def _near(target: float, tol: float):
+    return lambda v: (abs(v - target) <= tol, f"{v:.12g}", f"{target:.12g} +- {tol:g}")
 
 
-def _flag(name: str, ok: bool, measured: str, expected: str) -> CheckResult:
-    return CheckResult(name, bool(ok), measured, expected)
+def _at_most(limit: str, label: str = ""):
+    return lambda v: (v <= float(limit), f"{label}{v:.3g}", f"<= {limit}")
 
 
-def suite_elliptic() -> list[CheckResult]:
-    out = [
-        _close("K(0) = pi/2", elliptic.complete_K(0.0), math.pi / 2.0, 1e-15),
-        _close("sqrt(2) sigma = K(1/sqrt 2)",
-               math.sqrt(2.0) * elliptic.sigma_constant(),
-               elliptic.complete_K(1.0 / math.sqrt(2.0)), 1e-14),
-    ]
-    sn, cn, dn = elliptic.jacobi(0.0, 0.5)
-    out.append(_flag("jacobi(0, k) = (0, 1, 1)",
-                     (sn, cn, dn) == (0.0, 1.0, 1.0), f"({sn}, {cn}, {dn})", "(0, 1, 1)"))
-    K = elliptic.complete_K(0.3)
-    sn, cn, dn = elliptic.jacobi(K, 0.3)
-    out.append(_close("sn at quarter period", sn, 1.0, 1e-12))
-    out.append(_close("dn at quarter period", dn, math.sqrt(1.0 - 0.09), 1e-12))
+def _equals(want, shown: str | None = None):
+    return lambda v: (v == want, str(v), want if shown is None else shown)
 
+
+def _identity_residual() -> float:
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(200):
@@ -63,114 +55,90 @@ def suite_elliptic() -> list[CheckResult]:
         worst = max(worst,
                     abs(sn * sn + cn * cn - 1.0),
                     abs(dn * dn - k * k * cn * cn - (1.0 - k * k)))
-    out.append(_flag("Jacobi identities (200 random points)", worst <= 1e-10,
-                     f"max residual {worst:.3g}", "<= 1e-10"))
-    return out
+    return worst
 
 
-def suite_exact_lines() -> list[CheckResult]:
-    out = []
-    for delta in (0.5, 1.0, 2.0):
-        d2 = delta * delta
-        for gamma, target, tag in ((1.0, -2.0, "offset 1"),
-                                   (1.0 + d2 / 2.0, -2.0, "upper parabola"),
-                                   (-d2 / 2.0, 2.0, "lower parabola")):
-            tr = hill.monodromy(hill.squared_duffing_coefficient(delta, gamma),
-                                tol=1e-11).trace
-            out.append(_close(f"trace at delta={delta}, {tag}", tr, target, 1e-5))
-    for kind in hill.ExactLine:
-        res = hill.exact_solution_residual(kind, 0.5, np.linspace(0.0, 4.0, 40))
-        out.append(_flag(f"closed-form residual {kind.value}", res <= 1e-9,
-                         f"{res:.3g}", "<= 1e-9"))
-    return out
-
-
-def suite_criteria() -> list[CheckResult]:
-    out = []
-    for delta in (0.5, 1.0, 3.0):
-        out.append(_close(f"phi(delta={delta}, 2 + delta^2)",
-                          criteria.phi(delta, 2.0 + delta * delta),
-                          math.sqrt(2.0) * math.pi, 1e-9))
-    v = criteria.burdina_condition_gamma(1.0, 3.0)
-    out.append(_flag("phase-integral condition at (1, 3)", v.guaranteed_stable,
-                     v.outcome.value, "guaranteed_stable"))
-    lz = criteria.li_zhang(hill.squared_duffing_coefficient(1.0, 0.0))
-    out.append(_flag("L^2 criterion at gamma = 0, delta = 1", lz.guaranteed_stable,
-                     lz.outcome.value, "guaranteed_stable"))
-    limit = (64.0 / 3.0) * elliptic.sigma_constant() ** 4
-    g1 = criteria.g_function(1.0)
-    out.append(_flag("g(1) below its supremum", g1 < limit,
-                     f"{g1:.9g}", f"< {limit:.9g}"))
-    out.append(_close("psi(1e-6, 2) -> 2 pi", criteria.psi(1e-6, 2.0),
-                      2.0 * math.pi, 1e-5))
-    big = criteria.psi(1e4, 2.0)
-    out.append(_close("psi(1e4, 2) -> pi", big, math.pi, 0.01 * math.pi))
-    out.append(_close("psi = sqrt(omega) phi at (0.7, 2.3)",
-                      criteria.psi(0.7, 2.3),
-                      math.sqrt(2.3) * criteria.phi(0.7, 2.3), 1e-11))
-    return out
-
-
-def suite_tongues() -> list[CheckResult]:
-    out = []
-    br = tongues.trace_level_bracket(tongues.Plane.GAMMA, 1, 1.0, threshold=2.0)
-    out.append(_close("first tongue lower boundary at delta = 1", br.lower, 1.0, 1e-4))
-    out.append(_close("first tongue upper boundary at delta = 1", br.upper, 1.5, 1e-4))
-    out.append(_flag("asymptotic class of omega = 2",
-                     tongues.asymptotic_classification(2.0)
-                     is tongues.AsymptoticClass.UNSTABLE_AT_INFINITY,
-                     tongues.asymptotic_classification(2.0).value, "unstable_at_infinity"))
-    out.append(_flag("asymptotic class of omega = 4",
-                     tongues.asymptotic_classification(4.0)
-                     is tongues.AsymptoticClass.STABLE_AT_INFINITY,
-                     tongues.asymptotic_classification(4.0).value, "stable_at_infinity"))
-    parity_ok = True
-    for rep in (0.5, 1.5, 2.5, 3.5, 4.5, 5.5, 6.5):
-        even = tongues.crossing_count(rep) % 2 == 0
-        stable = tongues.asymptotic_classification(rep) is tongues.AsymptoticClass.STABLE_AT_INFINITY
-        parity_ok = parity_ok and (even == stable)
-    out.append(_flag("crossing parity matches asymptotic class", parity_ok,
-                     "consistent" if parity_ok else "mismatch", "consistent"))
-    grid = tongues.scan(tongues.Plane.OMEGA, (0.5, 3.0), (0.1, 0.9), (6, 5))
-    all_stable = bool(np.all(grid.classification == 0))
-    out.append(_flag("strip omega < 1 scan all stable", all_stable,
-                     "all stable" if all_stable else "non-stable cell found", "all stable"))
-    return out
-
-
-def suite_beam() -> list[CheckResult]:
-    pair = beam.ModePair(1, 2)
-    out = [
-        _close("two-mode energy at (1, 0, 1, 0)",
-               beam.energy(pair, beam.BeamState(1.0, 0.0, 1.0, 0.0)), 14.75, 1e-12),
+def suite_elliptic() -> list:
+    quarter = functools.cache(lambda: elliptic.jacobi(elliptic.complete_K(0.3), 0.3))
+    return [
+        ("K(0) = pi/2", lambda: elliptic.complete_K(0.0), _near(math.pi / 2.0, 1e-15)),
+        ("sqrt(2) sigma = K(1/sqrt 2)", lambda: math.sqrt(2.0) * elliptic.sigma_constant(),
+         _near(elliptic.complete_K(1.0 / math.sqrt(2.0)), 1e-14)),
+        ("jacobi(0, k) = (0, 1, 1)", lambda: tuple(elliptic.jacobi(0.0, 0.5)),
+         _equals((0.0, 1.0, 1.0), "(0, 1, 1)")),
+        ("sn at quarter period", lambda: quarter().sn, _near(1.0, 1e-12)),
+        ("dn at quarter period", lambda: quarter().dn, _near(math.sqrt(1.0 - 0.09), 1e-12)),
+        ("Jacobi identities (200 random points)", _identity_residual,
+         _at_most("1e-10", "max residual ")),
     ]
-    rhs = beam.coupled_rhs(pair, beam.BeamState(1.0, 0.0, 1.0, 0.0))
-    out.append(_flag("coupled rhs at (1, 0, 1, 0)",
-                     rhs == (0.0, -6.0, 0.0, -36.0), f"{rhs}", "(0, -6, 0, -36)"))
-    out.append(_flag("mode (1, 2) stable at delta = 0.5",
-                     beam.mode_stability(pair, 0.5) is hill.Stability.STABLE,
-                     beam.mode_stability(pair, 0.5).value, "stable"))
-    out.append(_flag("mode (1, 2) unstable at delta = 3.0",
-                     beam.mode_stability(pair, 3.0) is hill.Stability.UNSTABLE,
-                     beam.mode_stability(pair, 3.0).value, "unstable"))
-    quiet = beam.simulate(pair, 2.92)
-    grow = beam.simulate(pair, 2.94)
-    out.append(_flag("no transfer at delta = 2.92",
-                     quiet.verdict is beam.TransferVerdict.NO_TRANSFER_OBSERVED,
-                     quiet.verdict.value, "no_transfer_observed"))
-    out.append(_flag("transfer at delta = 2.94",
-                     grow.verdict is beam.TransferVerdict.ENERGY_TRANSFER,
-                     grow.verdict.value, "energy_transfer"))
-    early = beam.simulate(pair, 3.01)
-    late = beam.simulate(pair, 3.44)
-    ok = (early.onset_time is not None and late.onset_time is not None
-          and late.onset_time > early.onset_time)
-    out.append(_flag("onset at 3.44 later than at 3.01", ok,
-                     f"{early.onset_time} vs {late.onset_time}", "strictly later"))
-    drift = _energy_drift(pair, 2.5)
-    out.append(_flag("relative energy drift over 100 periods", drift <= 1e-6,
-                     f"{drift:.3g}", "<= 1e-6"))
-    return out
+
+
+def _trace(delta: float, gamma: float) -> float:
+    return hill.monodromy(hill.squared_duffing_coefficient(delta, gamma), tol=1e-11).trace
+
+
+def suite_exact_lines() -> list:
+    rows = [(f"trace at delta={delta}, {tag}", functools.partial(_trace, delta, gamma),
+             _near(target, 1e-5))
+            for delta in (0.5, 1.0, 2.0)
+            for gamma, target, tag in ((1.0, -2.0, "offset 1"),
+                                       (1.0 + delta * delta / 2.0, -2.0, "upper parabola"),
+                                       (-(delta * delta) / 2.0, 2.0, "lower parabola"))]
+    return rows + [(f"closed-form residual {kind.value}",
+                    functools.partial(hill.exact_solution_residual, kind, 0.5,
+                                      np.linspace(0.0, 4.0, 40)),
+                    _at_most("1e-9"))
+                   for kind in hill.ExactLine]
+
+
+def suite_criteria() -> list:
+    limit = (64.0 / 3.0) * elliptic.sigma_constant() ** 4
+    rows = [(f"phi(delta={delta}, 2 + delta^2)",
+             functools.partial(criteria.phi, delta, 2.0 + delta * delta),
+             _near(math.sqrt(2.0) * math.pi, 1e-9))
+            for delta in (0.5, 1.0, 3.0)]
+    return rows + [
+        ("phase-integral condition at (1, 3)",
+         lambda: criteria.burdina_condition_gamma(1.0, 3.0).outcome.value,
+         _equals("guaranteed_stable")),
+        ("L^2 criterion at gamma = 0, delta = 1",
+         lambda: criteria.li_zhang(hill.squared_duffing_coefficient(1.0, 0.0)).outcome.value,
+         _equals("guaranteed_stable")),
+        ("g(1) below its supremum", lambda: criteria.g_function(1.0),
+         lambda g: (g < limit, f"{g:.9g}", f"< {limit:.9g}")),
+        ("psi(1e-6, 2) -> 2 pi", lambda: criteria.psi(1e-6, 2.0), _near(2.0 * math.pi, 1e-5)),
+        ("psi(1e4, 2) -> pi", lambda: criteria.psi(1e4, 2.0), _near(math.pi, 0.01 * math.pi)),
+        ("psi = sqrt(omega) phi at (0.7, 2.3)", lambda: criteria.psi(0.7, 2.3),
+         _near(math.sqrt(2.3) * criteria.phi(0.7, 2.3), 1e-11)),
+    ]
+
+
+def _parity() -> str:
+    stable = tongues.AsymptoticClass.STABLE_AT_INFINITY
+    ok = all((tongues.crossing_count(w) % 2 == 0)
+             == (tongues.asymptotic_classification(w) is stable)
+             for w in (0.5, 1.5, 2.5, 3.5, 4.5, 5.5, 6.5))
+    return "consistent" if ok else "mismatch"
+
+
+def _strip() -> str:
+    grid = tongues.scan(tongues.Plane.OMEGA, (0.5, 3.0), (0.1, 0.9), (6, 5))
+    return "all stable" if np.all(grid.classification == 0) else "non-stable cell found"
+
+
+def suite_tongues() -> list:
+    bracket = functools.cache(
+        lambda: tongues.trace_level_bracket(tongues.Plane.GAMMA, 1, 1.0, threshold=2.0))
+    return [
+        ("first tongue lower boundary at delta = 1", lambda: bracket().lower, _near(1.0, 1e-4)),
+        ("first tongue upper boundary at delta = 1", lambda: bracket().upper, _near(1.5, 1e-4)),
+        ("asymptotic class of omega = 2", lambda: tongues.asymptotic_classification(2.0).value,
+         _equals("unstable_at_infinity")),
+        ("asymptotic class of omega = 4", lambda: tongues.asymptotic_classification(4.0).value,
+         _equals("stable_at_infinity")),
+        ("crossing parity matches asymptotic class", _parity, _equals("consistent")),
+        ("strip omega < 1 scan all stable", _strip, _equals("all stable")),
+    ]
 
 
 def _energy_drift(pair: beam.ModePair, delta: float) -> float:
@@ -178,6 +146,30 @@ def _energy_drift(pair: beam.ModePair, delta: float) -> float:
     result = beam.simulate(pair, delta, horizon=horizon, tol=1e-11)
     e = result.trajectory[:, 5]
     return float(np.max(np.abs(e - e[0])) / abs(e[0]))
+
+
+def suite_beam() -> list:
+    pair = beam.ModePair(1, 2)
+    state = beam.BeamState(1.0, 0.0, 1.0, 0.0)
+    return [
+        ("two-mode energy at (1, 0, 1, 0)", lambda: beam.energy(pair, state),
+         _near(14.75, 1e-12)),
+        ("coupled rhs at (1, 0, 1, 0)", lambda: beam.coupled_rhs(pair, state),
+         _equals((0.0, -6.0, 0.0, -36.0), "(0, -6, 0, -36)")),
+        ("mode (1, 2) stable at delta = 0.5", lambda: beam.mode_stability(pair, 0.5).value,
+         _equals("stable")),
+        ("mode (1, 2) unstable at delta = 3.0", lambda: beam.mode_stability(pair, 3.0).value,
+         _equals("unstable")),
+        ("no transfer at delta = 2.92", lambda: beam.simulate(pair, 2.92).verdict.value,
+         _equals("no_transfer_observed")),
+        ("transfer at delta = 2.94", lambda: beam.simulate(pair, 2.94).verdict.value,
+         _equals("energy_transfer")),
+        ("onset at 3.44 later than at 3.01",
+         lambda: [beam.simulate(pair, d).onset_time for d in (3.01, 3.44)],
+         lambda t: (None not in t and t[1] > t[0], f"{t[0]} vs {t[1]}", "strictly later")),
+        ("relative energy drift over 100 periods", functools.partial(_energy_drift, pair, 2.5),
+         _at_most("1e-6")),
+    ]
 
 
 SUITES = {
@@ -192,12 +184,15 @@ SUITES = {
 def run_suite(name: str) -> list[CheckResult]:
     """Run one named suite, or every suite for ``all``."""
     if name == "all":
-        results: list[CheckResult] = []
-        for fn in SUITES.values():
-            results.extend(fn())
-        return results
-    try:
-        return SUITES[name]()
-    except KeyError:
+        tables = list(SUITES.values())
+    elif name in SUITES:
+        tables = [SUITES[name]]
+    else:
         raise ValueError(f"unknown suite {name!r}; choose from "
-                         f"{', '.join([*SUITES, 'all'])}") from None
+                         f"{', '.join([*SUITES, 'all'])}")
+    results = []
+    for table in tables:
+        for check, measure, judge in table():
+            passed, measured, expected = judge(measure())
+            results.append(CheckResult(check, bool(passed), measured, expected))
+    return results

@@ -1,5 +1,7 @@
-"""Non-finite inputs, large frequency ratios, lane failures and the cell map."""
+"""Non-finite and out-of-range inputs, large frequency ratios, lane failures,
+line samples, the cell map and the verify table."""
 
+import json
 import math
 
 import numpy as np
@@ -8,16 +10,24 @@ import pytest
 from hillduffing import (
     AsymptoticClass,
     DomainError,
+    IntegrationFailure,
+    ModePair,
     Plane,
+    Stability,
     asymptotic_classification,
+    mode_stability,
     monodromy,
     omega_coefficient,
+    recount_crossings,
     scan,
+    simulate,
     squared_duffing_coefficient,
     tongues,
+    trace_level_bracket,
+    verify,
 )
 from hillduffing.cli import main
-from hillduffing.hill import lane_traces
+from hillduffing.hill import LaneTraces, classify_trace, lane_traces
 from hillduffing.integrate import solve_final, solve_lanes
 
 
@@ -139,3 +149,173 @@ def test_map_cells_chunks_by_task_and_worker_count(monkeypatch):
 def test_map_cells_one_worker_starts_no_pool(monkeypatch):
     monkeypatch.setattr(tongues, "ProcessPoolExecutor", None)
     assert tongues.map_cells(abs, [-1, 2], 1) == [1, 2]
+
+
+class TestSimulateValidation:
+    pair = ModePair(1, 2)
+
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan, 0.0, -1.0])
+    def test_bad_horizon_is_named(self, horizon):
+        with pytest.raises(DomainError, match="horizon"):
+            simulate(self.pair, 1.0, horizon=horizon)
+
+    @pytest.mark.parametrize("delta", [math.inf, -math.inf, math.nan])
+    def test_non_finite_delta_is_named(self, delta):
+        with pytest.raises(DomainError, match="delta"):
+            simulate(self.pair, delta, horizon=10.0)
+
+    @pytest.mark.parametrize("factor", [math.nan, 0.0, 1.0, -5.0, math.inf])
+    def test_bad_growth_factor_is_named(self, factor):
+        with pytest.raises(DomainError, match="growth_factor"):
+            simulate(self.pair, 1.0, horizon=10.0, growth_factor=factor)
+
+    def test_cli_infinite_horizon_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "traj.csv"
+        code = main(["beam", "--m", "1", "--n", "2", "--delta", "1", "--horizon", "inf",
+                     "--out", str(out)])
+        assert code == 2
+        assert "horizon" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestToleranceBand:
+    @pytest.mark.parametrize("band", [math.nan, -1.0, 2.0, math.inf])
+    def test_classify_trace_rejects(self, band):
+        with pytest.raises(DomainError, match="tol_boundary"):
+            classify_trace(1.0, band)
+
+    def test_zero_band_is_allowed(self):
+        assert classify_trace(2.0, 0.0) is Stability.BOUNDARY
+
+    @pytest.mark.parametrize("band", [math.nan, -1.0])
+    def test_scan_rejects_before_integrating(self, band, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("integrated before checking tol_boundary")
+
+        monkeypatch.setattr(tongues, "lane_traces", forbidden)
+        with pytest.raises(DomainError, match="tol_boundary"):
+            scan(Plane.GAMMA, (0.5, 1.0), (0.0, 2.0), (2, 3), tol_boundary=band)
+
+    @pytest.mark.parametrize("band", [math.nan, -1.0])
+    def test_monodromy_and_mode_stability_reject(self, band):
+        with pytest.raises(DomainError, match="tol_boundary"):
+            monodromy(squared_duffing_coefficient(1.0, 0.5), tol_boundary=band)
+        with pytest.raises(DomainError, match="tol_boundary"):
+            mode_stability(ModePair(1, 2), 1.0, tol_boundary=band)
+
+    def test_cli_scan_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        code = main(["scan", "--plane", "gamma", "--x", "0.5:1:2", "--y", "0:2:3",
+                     "--tol-boundary", "-1", "--out", str(tmp_path / "s")])
+        assert code == 2
+        assert "tol_boundary" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("omega", [0.0, -1.0, math.nan, math.inf])
+def test_recount_rejects_bad_omega(omega):
+    with pytest.raises(DomainError, match="omega"):
+        recount_crossings(omega)
+
+
+class TestLineSamples:
+    def test_bracket_window_is_not_sampled_point_by_point(self, monkeypatch):
+        calls = []
+        point = tongues.trace_at
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return point(*args, **kwargs)
+
+        monkeypatch.setattr(tongues, "trace_at", counted)
+        sample = trace_level_bracket(Plane.GAMMA, 1, 1.0, threshold=2.0)
+        assert sample.lower == pytest.approx(1.0, abs=1e-4)
+        assert 0 < len(calls) < 257
+        # the reported peak is a point solve, not a lane value
+        assert sample.peak_trace == abs(point(Plane.GAMMA, 1.0, sample.peak))
+
+    def test_nan_sample_raises(self, monkeypatch):
+        def failed(c, a, b, tol):
+            return LaneTraces(np.full(np.shape(a), math.nan), 0, 0)
+
+        monkeypatch.setattr(tongues, "lane_traces", failed)
+        with pytest.raises(IntegrationFailure):
+            trace_level_bracket(Plane.OMEGA, 2, 0.2)
+        with pytest.raises(IntegrationFailure):
+            recount_crossings(1.5, delta_max=0.05)
+
+    @staticmethod
+    def _interval_loop_count(abstr, refined, near_band=0.1):
+        """The per-interval loop ``recount_crossings`` counted with before
+        its grid logic was vectorised; the reference for the new form."""
+        unstable = abstr > 2.0
+        n = abstr.size
+        count = i = 0
+        while i < n:
+            if unstable[i]:
+                j = i
+                while j + 1 < n and unstable[j + 1]:
+                    j += 1
+                count += 1 if j == n - 1 else 2
+                i = j + 1
+            else:
+                i += 1
+        for i in range(1, n - 1):
+            if unstable[i - 1] or unstable[i] or unstable[i + 1]:
+                continue
+            if not (abstr[i] >= abstr[i - 1] and abstr[i] >= abstr[i + 1]):
+                continue
+            if abstr[i] > 2.0 - near_band and refined[i] > 2.0:
+                count += 2
+        return count
+
+    def test_recount_grid_logic_matches_interval_loop(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        step = 0.01
+        for _ in range(300):
+            n = int(rng.integers(0, 25))
+            abstr = rng.choice([1.5, 1.95, 1.99, 1.99, 2.01, 2.5], size=n)
+            refined = rng.choice([1.999, 2.001], size=n)
+
+            def index(d):
+                return int(round(d / step)) - 1
+
+            monkeypatch.setattr(tongues, "_line",
+                                lambda plane, d, ys, tol: np.array([abstr[index(d)]]))
+            monkeypatch.setattr(tongues, "_refine_peak",
+                                lambda f, a, b, xatol: (0.0, refined[index((a + b) / 2)]))
+            want = self._interval_loop_count(abstr, refined)
+            assert recount_crossings(1.5, delta_max=n * step, coarse_step=step) == want
+
+    def test_run_open_at_delta_max_counts_once(self):
+        # omega = 1.5 enters its tongue near delta = 1.8 and stays inside
+        assert recount_crossings(1.5, delta_max=1.7) == 0
+        assert recount_crossings(1.5, delta_max=2.0) == 1
+
+
+def test_tongue_bracket_payload_keys(tmp_path, capsys):
+    out = tmp_path / "b.json"
+    assert main(["tongue-bracket", "--plane", "gamma", "--ell", "1", "--delta", "1",
+                 "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert sorted(payload) == ["delta", "ell", "lower", "peak", "peak_trace", "plane",
+                               "threshold", "upper"]
+    assert payload["plane"] == "gamma"
+
+
+class TestVerifyTable:
+    def test_tongue_bracket_runs_once(self, monkeypatch):
+        calls = []
+        bracket = tongues.trace_level_bracket
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return bracket(*args, **kwargs)
+
+        monkeypatch.setattr(tongues, "trace_level_bracket", counted)
+        results = verify.run_suite("tongues")
+        assert len(calls) == 1
+        assert len(results) == 6 and all(r.passed for r in results)
+
+    def test_unknown_suite(self):
+        with pytest.raises(ValueError, match="unknown suite"):
+            verify.run_suite("nope")
