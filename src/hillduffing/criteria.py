@@ -166,8 +166,8 @@ def phi(delta: float, gamma: float) -> float:
     which equals the time-domain integral of sqrt(gamma + y^2) over half a
     Duffing period.  gamma = 0 is allowed (integrable endpoint).
     """
-    if not (delta > 0.0) or not (gamma >= 0.0):
-        raise DomainError(f"need delta > 0 and gamma >= 0, got ({delta!r}, {gamma!r})")
+    if not 0.0 < delta < math.inf or not 0.0 <= gamma < math.inf:
+        raise DomainError(f"need finite delta > 0 and gamma >= 0, got ({delta!r}, {gamma!r})")
     d2 = delta * delta
 
     def integrand(t: float) -> float:
@@ -186,8 +186,8 @@ def psi(delta: float, omega: float) -> float:
     pi * omega at delta = 0 to pi sqrt(omega / 2) as delta -> infinity
     (strictly, for omega >= 1).
     """
-    if not (delta > 0.0) or not (omega > 0.0):
-        raise DomainError(f"need delta > 0 and omega > 0, got ({delta!r}, {omega!r})")
+    if not 0.0 < delta < math.inf or not 0.0 < omega < math.inf:
+        raise DomainError(f"need finite delta > 0 and omega > 0, got ({delta!r}, {omega!r})")
     return math.sqrt(omega) * phi(delta, omega)
 
 
@@ -195,8 +195,8 @@ def _burdina_condition(delta: float, c: float, phase: Callable[[float, float], f
                        name: str) -> CriterionVerdict:
     """Closed-form phase-integral condition for the offset ``c`` (named
     ``name``), with ``phase(delta, c)`` the plane's phase integral."""
-    if not (delta > 0.0) or not (c > 0.0):
-        raise DomainError(f"need delta > 0 and {name} > 0, got ({delta!r}, {c!r})")
+    if not 0.0 < delta < math.inf or not 0.0 < c < math.inf:
+        raise DomainError(f"need finite delta > 0 and {name} > 0, got ({delta!r}, {c!r})")
     a = phase(delta, c)
     log_ratio = math.log1p(delta * delta / c)
     ell = int(math.floor(a / math.pi))

@@ -59,6 +59,19 @@ def complete_K(k: float) -> float:
     return math.pi / (2.0 * a)
 
 
+@lru_cache(maxsize=4096)
+def _descent(k: float) -> tuple[float, float, tuple[float, ...]]:
+    """``jacobi``'s AGM descent for 0 < k < 1: 4 K(k), 2^n a_n and c_i / a_i, i = n..1."""
+    a, b, c = 1.0, math.sqrt((1.0 - k) * (1.0 + k)), k
+    ratios = []
+    while abs(c) > _EPS * a:
+        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
+        ratios.append(c / a)
+        if len(ratios) >= _MAX_AGM_ITER:
+            raise DomainError(f"AGM descent did not converge for k={k!r}")
+    return 4.0 * complete_K(k), (2.0 ** len(ratios)) * a, tuple(reversed(ratios))
+
+
 def jacobi(u: float, k: float) -> JacobiTriple:
     """Jacobi elliptic functions sn(u, k), cn(u, k), dn(u, k).
 
@@ -66,7 +79,7 @@ def jacobi(u: float, k: float) -> JacobiTriple:
     c_n vanishes, seed the phase with 2^n a_n u, then recover the amplitude
     by the backward recursion phi_{n-1} = (phi_n + asin((c_n/a_n) sin
     phi_n)) / 2.  The argument is first reduced modulo 4 K(k) so long
-    evaluations do not lose phase accuracy.
+    evaluations do not lose phase accuracy.  The descent is cached per k.
 
     Parameters
     ----------
@@ -86,25 +99,11 @@ def jacobi(u: float, k: float) -> JacobiTriple:
         # degenerate Landen descent; trigonometric limit is exact
         return JacobiTriple(math.sin(u), math.cos(u), 1.0)
 
-    u = math.fmod(u, 4.0 * complete_K(k))
-
-    a = [1.0]
-    c = [k]
-    b = math.sqrt((1.0 - k) * (1.0 + k))
-    n = 0
-    while abs(c[n]) > _EPS * a[n]:
-        a.append(0.5 * (a[n] + b))
-        c.append(0.5 * (a[n] - b))
-        b = math.sqrt(a[n] * b)
-        n += 1
-        if n >= _MAX_AGM_ITER:
-            raise DomainError(f"AGM descent did not converge for k={k!r}")
-
-    phi = (2.0**n) * a[n] * u
-    for i in range(n, 0, -1):
-        s = c[i] / a[i] * math.sin(phi)
+    period, scale, ratios = _descent(k)
+    phi = scale * math.fmod(u, period)
+    for ratio in ratios:
         # rounding can push the ratio marginally outside [-1, 1]
-        s = max(-1.0, min(1.0, s))
+        s = max(-1.0, min(1.0, ratio * math.sin(phi)))
         phi = 0.5 * (phi + math.asin(s))
 
     sn = math.sin(phi)

@@ -6,8 +6,8 @@ stability: both Floquet multipliers lie on the unit circle exactly when
 |trace| <= 2.  This module builds the periodic coefficients used
 throughout the library, integrates the monodromy matrix with an adaptive
 embedded Runge-Kutta pair (one coefficient at a time, or a batch of
-lanes sharing one even coefficient), and verifies the three closed-form
-resonant solutions built from Jacobi functions.
+squared-Duffing lanes with their own amplitudes), and verifies the three
+closed-form resonant solutions built from Jacobi functions.
 """
 
 from __future__ import annotations
@@ -210,55 +210,71 @@ class LaneTraces:
     rhs_evals: int
 
 
-def lane_traces(
-    c: PeriodicCoefficient,
-    a,
-    b,
-    tol: float = DEFAULT_TOL,
-    max_steps: int = DEFAULT_MAX_STEPS,
-) -> LaneTraces:
-    """Monodromy traces of xi'' + (a_i + b_i c(t)) xi = 0 for every lane i.
+_TERMS = 13  # the nome is at most e^-pi for k <= 1/sqrt(2): n <= 12 reach rounding
+_NPI = math.pi * np.arange(_TERMS)
 
-    ``c`` must be even, c(-t) = c(t), as every squared-Duffing coefficient
-    is.  Then the even and odd principal solutions u1, u2 give the trace
-    2 (u1 u2' + u1' u2) at half the period (Magnus & Winkler, *Hill's
-    Equation*, 1966), so the lanes are integrated only to P/2.  They step
-    together on scipy's DOP853 with the error norm taken per lane
-    (``integrate.solve_lanes``), which costs one evaluation of ``c`` per
-    stage for the whole batch.  A lane whose a_i or b_i is not finite gets
-    NaN and takes no part in the step-size control.  If the batch hits the
-    step cap or the step size underflows, every lane is integrated again
-    alone, and a lane that fails alone gets NaN.  Traces agree with
-    ``monodromy`` within the integrator tolerance, not bit for bit.
+
+def _cn2_series(delta: float) -> tuple[float, np.ndarray]:
+    """Half period h = K(k) / sqrt(1 + delta^2) of delta^2 cn^2(sqrt(1 + delta^2) s, k), and
+    the D_n of h^2 delta^2 cn^2(K tau, k) = sum D_n cos(n pi tau), tau = s / h (DLMF 22.11.13)."""
+    k = DuffingParams(delta).modulus
+    K = elliptic.complete_K(k)
+    kp = math.sqrt((1.0 - k) * (1.0 + k))  # is 1 only for |delta| < 1e-8, where q < 1e-17
+    q = math.exp(-math.pi * elliptic.complete_K(kp) / K) if kp < 1.0 else 0.0
+    n = np.arange(1, _TERMS)
+    d = 4.0 * math.pi**2 * n * q**n / (1.0 - q ** (2 * n))
+    h = K / math.sqrt(1.0 + delta * delta)
+    return h, np.concatenate(([h * h * delta * delta - d.sum()], d))  # as cn(0) = 1
+
+
+def lane_traces(delta, a, b, tol: float = DEFAULT_TOL,
+                max_steps: int = DEFAULT_MAX_STEPS) -> LaneTraces:
+    """Monodromy traces of xi'' + (a_i + b_i delta_i^2 cn^2(sqrt(1 + delta_i^2) s,
+    k_i)) xi = 0 for every lane i, with ``delta``, ``a`` and ``b`` broadcast.
+
+    Lane i runs in its own time tau = s / h_i, h_i half its coefficient's
+    period, in which the coefficient is h_i^2 a_i plus b_i times a series
+    in the basis cos(n pi tau) that all lanes share (``_cn2_series``), so a
+    stage is one matrix-vector product.  The coefficient is even, so the
+    principal solutions u1, u2 give the trace 2 (u1 u2' + u1' u2) at
+    tau = 1 (Magnus & Winkler, *Hill's Equation*, 1966).  The lanes step
+    together on DOP853 with a per-lane error norm (``integrate.solve_lanes``).
+    A lane with delta = 0 or a non-finite delta, a_i or b_i gets NaN and
+    takes no part in the step-size control.  After a step-cap or underflow
+    failure every lane is integrated again alone, and one that fails alone
+    gets NaN.  Traces agree with ``monodromy`` within the integrator
+    tolerance, not bit for bit.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    delta, a, b = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (delta, a, b)))
     trace = np.full(a.shape, math.nan)
-    cf = c.func
+    live = np.flatnonzero(np.isfinite(a) & np.isfinite(b) & np.isfinite(delta) & (delta != 0.0))
+    if not live.size:
+        return LaneTraces(trace, 0, 0)
+    uniq, where = np.unique(delta[live], return_inverse=True)
+    h, d = (np.array(v)[where] for v in zip(*map(_cn2_series, uniq.tolist())))
+    neg_a, neg_bd = -h * h * a[live], -b[live, None] * d
 
-    def solve(lanes: np.ndarray):
-        neg_a, neg_b = -a[lanes], -b[lanes]
+    def solve(lanes: slice):
+        na, nbd = neg_a[lanes], neg_bd[lanes]
 
-        def rhs(t: float, y: np.ndarray) -> np.ndarray:
+        def rhs(tau: float, y: np.ndarray) -> np.ndarray:
             # flat state; rows u1, u1', u2, u2' of the (4, lanes) view
             f = np.empty_like(y)
             y4, f4 = y.reshape(4, -1), f.reshape(4, -1)
             f4[0::2] = y4[1::2]
-            np.multiply(neg_a + neg_b * cf(t), y4[0::2], out=f4[1::2])
+            np.multiply(na + nbd @ np.cos(_NPI * tau), y4[0::2], out=f4[1::2])
             return f
 
-        y0 = np.zeros((4, lanes.size))
-        y0[0] = y0[3] = 1.0
-        sol = solve_lanes(rhs, 0.0, c.period / 2.0, y0, tol, max_steps)
+        y0 = np.outer((1.0, 0.0, 0.0, 1.0), np.ones(na.size))
+        sol = solve_lanes(rhs, 0.0, 1.0, y0, tol, max_steps)
         if sol.failure is None:
             u1, du1, u2, du2 = sol.y
-            trace[lanes] = 2.0 * (u1 * du2 + du1 * u2)
+            trace[live[lanes]] = 2.0 * (u1 * du2 + du1 * u2)
         return sol
 
-    live = np.flatnonzero(np.isfinite(a) & np.isfinite(b))
-    runs = [solve(live)] if live.size else []
-    if runs and runs[0].failure is not None:
-        runs += [solve(live[i:i + 1]) for i in range(live.size)]
+    runs = [solve(slice(None))]
+    if runs[0].failure is not None:
+        runs += [solve(slice(i, i + 1)) for i in range(live.size)]
     return LaneTraces(trace, sum(r.steps for r in runs), sum(r.rhs_evals for r in runs))
 
 

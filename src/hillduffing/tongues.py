@@ -24,7 +24,6 @@ from .errors import BracketNotFound, DomainError, IntegrationFailure
 from .hill import (
     DEFAULT_TOL,
     DEFAULT_TOL_BOUNDARY,
-    LaneTraces,
     PeriodicCoefficient,
     Stability,
     classify_trace,
@@ -114,17 +113,11 @@ def _refine_peak(f: Callable[[float], float], a: float, b: float,
     return float(res.x), float(-res.fun)
 
 
-def _column(plane: Plane, delta: float, ys, tol: float) -> LaneTraces:
-    """Traces at (delta, y) for every y of ``ys``, one batch of lanes."""
-    # offset 0 leaves the shared c(s) = delta^2 cn^2(sqrt(1 + delta^2) s, k)
-    return lane_traces(squared_duffing_coefficient(delta, 0.0), *plane.lane_pair(ys), tol=tol)
-
-
-def _line(plane: Plane, delta: float, ys, tol: float) -> np.ndarray:
-    """|trace| of ``_column`` for a line search, where a failed lane raises."""
-    trace = _column(plane, delta, ys, tol).trace
+def _line(plane: Plane, delta, ys, tol: float) -> np.ndarray:
+    """|trace| at the broadcast points (delta, ys) of a line search; a failed lane raises."""
+    trace = lane_traces(delta, *plane.lane_pair(ys), tol=tol).trace
     if np.isnan(trace).any():
-        raise IntegrationFailure(f"a lane failed on the {plane.value} line at delta={delta!r}")
+        raise IntegrationFailure(f"a lane failed on the {plane.value} line")
     return np.abs(trace)
 
 
@@ -133,10 +126,7 @@ def _scan_column(task: tuple[Plane, float, np.ndarray, float, float]
     """Traces, class codes, steps and right-hand-side calls of one grid
     column (fixed delta)."""
     plane, x, ys, tol, tol_boundary = task
-    try:
-        lanes = _column(plane, x, ys, tol)
-    except DomainError:
-        return [math.nan] * ys.size, [FAILED_CODE] * ys.size, 0, 0
+    lanes = lane_traces(x, *plane.lane_pair(ys), tol=tol)
     traces = lanes.trace.tolist()
     codes = [FAILED_CODE if math.isnan(t) else _CLASS_CODE[classify_trace(t, tol_boundary)]
              for t in traces]
@@ -188,9 +178,8 @@ def scan(
 ) -> StabilityGrid:
     """Fill a StabilityGrid with the monodromy trace of every cell.
 
-    Each grid column (one delta) is one task: its cells share the
-    coefficient's period and Jacobi evaluations, so ``hill.lane_traces``
-    integrates them together to half the period.  Traces therefore agree
+    Each grid column (one delta) is one task, which ``hill.lane_traces``
+    integrates as one batch of lanes to half the period.  Traces therefore agree
     with ``trace_at`` within the integrator tolerance, not bit for bit.
     With ``workers > 1`` the columns are distributed over a process pool;
     the lanes of a task are fixed by the grid, never by the worker count,
@@ -441,29 +430,35 @@ def recount_crossings(
 ) -> int:
     """Recount resonance-line crossings from a fine trace scan along delta.
 
-    Each grid point is a one-lane scan column.  Grid cells with |trace| > 2
+    The whole delta-grid is one batch of lanes.  Grid cells with |trace| > 2
     mark unstable runs directly: from the stable start near delta = 0,
     every switch between stable and unstable cells is one crossing, so a
     run contributes two, or one when it is still open at ``delta_max``.
     Tongues thinner than the grid leave a near-miss signature (a local
-    maximum of |trace| just under 2); each such maximum is refined by
-    bounded maximisation and counts as a crossing pair when the refined
-    trace genuinely exceeds 2.
+    maximum of |trace| within ``near_band`` of 2); each such maximum is
+    refined by bounded maximisation and counts as a crossing pair when the
+    refined trace genuinely exceeds 2.
 
     The default ``delta_max = 6`` undercounts the table: it gives 2 / 4 /
     5 / 4 where ``crossing_count`` gives 3 / 6 / 8 / 9 at omega = 2.5 /
-    4.5 / 5.5 / 6.5 (``delta_max = 12`` gives 3 at 2.5).  A longer default
-    sweep waits for batched delta-sweeps.
+    4.5 / 5.5 / 6.5 (``delta_max = 12`` gives 3 at 2.5).  A longer sweep
+    does not close the gap; ROADMAP item 2 counts by rotation number.
     """
     omega = float(omega)
     if not 0.0 < omega < math.inf:
         raise DomainError(f"need finite omega > 0, got {omega!r}")
+    if not 0.0 < coarse_step < math.inf:
+        raise DomainError(f"need finite coarse_step > 0, got {coarse_step!r}")
+    if not 0.0 <= delta_max < math.inf:
+        raise DomainError(f"need finite delta_max >= 0, got {delta_max!r}")
+    if not 0.0 <= near_band < 2.0:
+        raise DomainError(f"need near_band in [0, 2), got {near_band!r}")
 
     def abs_trace(d: float) -> float:
         return abs(trace_at(Plane.OMEGA, d, omega, tol=integrator_tol))
 
     deltas = np.arange(coarse_step, delta_max + 0.5 * coarse_step, coarse_step)
-    abstr = np.array([_line(Plane.OMEGA, d, [omega], integrator_tol)[0] for d in deltas])
+    abstr = _line(Plane.OMEGA, deltas, omega, integrator_tol)
     unstable = abstr > 2.0
     mid = abstr[1:-1]
     near = ~(unstable[:-2] | unstable[1:-1] | unstable[2:]) & (mid > 2.0 - near_band) \

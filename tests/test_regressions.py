@@ -1,5 +1,5 @@
 """Non-finite and out-of-range inputs, large frequency ratios, lane failures,
-line samples, the cell map and the verify table."""
+amplitude lanes, line samples, the cell map and the verify table."""
 
 import json
 import math
@@ -15,9 +15,13 @@ from hillduffing import (
     Plane,
     Stability,
     asymptotic_classification,
+    burdina_condition_gamma,
+    burdina_condition_omega,
     mode_stability,
     monodromy,
     omega_coefficient,
+    phi,
+    psi,
     recount_crossings,
     scan,
     simulate,
@@ -83,7 +87,7 @@ def test_omega_zero_row_is_nan_and_neighbours_unaffected():
 
 
 class TestLaneFailures:
-    c = squared_duffing_coefficient(1.0, 0.0)
+    c = 1.0
 
     def test_non_finite_lane_is_masked_out(self):
         alone = lane_traces(self.c, [0.5], [1.0])
@@ -277,10 +281,10 @@ class TestLineSamples:
             refined = rng.choice([1.999, 2.001], size=n)
 
             def index(d):
-                return int(round(d / step)) - 1
+                return np.rint(np.asarray(d) / step).astype(int) - 1
 
             monkeypatch.setattr(tongues, "_line",
-                                lambda plane, d, ys, tol: np.array([abstr[index(d)]]))
+                                lambda plane, d, ys, tol: abstr[index(d)])
             monkeypatch.setattr(tongues, "_refine_peak",
                                 lambda f, a, b, xatol: (0.0, refined[index((a + b) / 2)]))
             want = self._interval_loop_count(abstr, refined)
@@ -319,3 +323,63 @@ class TestVerifyTable:
     def test_unknown_suite(self):
         with pytest.raises(ValueError, match="unknown suite"):
             verify.run_suite("nope")
+
+
+class TestAmplitudeLanes:
+    """Lanes with their own delta, as the recount's delta-grid uses them."""
+
+    @pytest.mark.parametrize("plane, y", [(Plane.GAMMA, 0.5), (Plane.GAMMA, 3.0),
+                                          (Plane.OMEGA, 1.5), (Plane.OMEGA, 0.4)])
+    def test_delta_sweep_matches_monodromy(self, plane, y):
+        deltas = np.linspace(0.05, 5.0, 12)
+        batch = lane_traces(deltas, *plane.lane_pair(np.full(deltas.size, y)))
+        for d, got in zip(deltas, batch.trace):
+            want = monodromy(plane.coefficient(d, y)).trace
+            assert got == pytest.approx(want, rel=1e-8, abs=1e-8)
+
+    def test_bad_lanes_are_nan_and_leave_neighbours_bit_identical(self):
+        good = np.array([0.5, 1.0, 2.0, 3.0])
+        clean = lane_traces(good, 1.5, 1.0)
+        mixed = lane_traces([0.5, 0.0, 1.0, math.nan, 2.0, math.inf, 3.0], 1.5, 1.0)
+        assert np.isnan(mixed.trace[[1, 3, 5]]).all()
+        assert np.array_equal(mixed.trace[[0, 2, 4, 6]], clean.trace)
+        assert mixed.steps == clean.steps
+        a_nan = lane_traces(good, [1.5, math.nan, 1.5, 1.5], [1.0, 1.0, math.inf, 1.0])
+        assert np.isnan(a_nan.trace[[1, 2]]).all()
+        assert np.array_equal(a_nan.trace[[0, 3]], lane_traces(good[[0, 3]], 1.5, 1.0).trace)
+
+    def test_only_bad_lanes_do_no_work(self):
+        lanes = lane_traces([0.0, math.nan], 1.0, 1.0)
+        assert np.isnan(lanes.trace).all()
+        assert (lanes.steps, lanes.rhs_evals) == (0, 0)
+
+
+class TestRecountGrid:
+    @pytest.mark.parametrize("name, value", [
+        ("coarse_step", 0.0), ("coarse_step", -0.01), ("coarse_step", math.nan),
+        ("coarse_step", math.inf), ("delta_max", -1.0), ("delta_max", math.nan),
+        ("delta_max", math.inf), ("near_band", math.nan), ("near_band", -0.1),
+        ("near_band", 2.0), ("near_band", math.inf),
+    ])
+    def test_rejects_bad_grid(self, name, value, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("integrated before checking the grid")
+
+        monkeypatch.setattr(tongues, "lane_traces", forbidden)
+        with pytest.raises(DomainError, match=name):
+            recount_crossings(1.5, **{name: value})
+
+    def test_zero_delta_max_counts_nothing(self):
+        assert recount_crossings(1.5, delta_max=0.0) == 0
+
+
+class TestClosedFormCriteriaFiniteness:
+    @pytest.mark.parametrize("fn, delta, offset", [
+        (burdina_condition_gamma, 1.0, math.inf), (burdina_condition_gamma, math.inf, 1.0),
+        (burdina_condition_omega, 1.0, math.inf), (burdina_condition_omega, math.inf, 2.0),
+        (phi, 1.0, math.inf), (phi, math.inf, 1.0), (psi, 1.0, math.inf), (psi, math.inf, 1.0),
+        (burdina_condition_gamma, math.nan, 1.0), (phi, 1.0, math.nan),
+    ])
+    def test_non_finite_raises_domain_error(self, fn, delta, offset):
+        with pytest.raises(DomainError, match="finite delta"):
+            fn(delta, offset)

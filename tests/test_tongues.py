@@ -254,8 +254,7 @@ class TestColumnKernel:
     @pytest.mark.parametrize("delta,gamma", [(0.05, 0.5), (1.0, -1.0), (1.0, 1.2),
                                              (2.0, 4.5), (5.0, 3.0)])
     def test_half_period_trace_equals_full_period(self, delta, gamma):
-        c = squared_duffing_coefficient(delta, 0.0)
-        half = lane_traces(c, [gamma], [1.0]).trace[0]
+        half = lane_traces(delta, [gamma], [1.0]).trace[0]
         full = monodromy(squared_duffing_coefficient(delta, gamma)).trace
         assert half == pytest.approx(full, rel=1e-8, abs=1e-8)
 
