@@ -23,8 +23,10 @@ import numpy as np
 
 from .duffing import DuffingParams, period
 from .errors import DomainError
-from .hill import DEFAULT_TOL, DEFAULT_TOL_BOUNDARY, Stability, monodromy, omega_coefficient
+from .hill import DEFAULT_TOL, DEFAULT_TOL_BOUNDARY, Stability, classify_trace
+from .hill import monodromy  # noqa: F401  (bench/spans.py patches beam.monodromy)
 from .integrate import solve_sampled
+from .tongues import Plane, trace_at
 
 # |z| must exceed this multiple of its initial amplitude to count as an
 # energy transfer; calibrated so that weakly unstable cases (saturating
@@ -191,10 +193,9 @@ def mode_stability(
 ) -> Stability:
     """Floquet verdict for the single-mode solution against the other mode.
 
-    Linearizing the coupled system around (Theta_m, 0) gives a Hill
-    equation that depends only on omega = n^2/m^2 and delta, so the
-    classification is invariant under scaling (m, n) -> (km, kn).
+    Linearizing the coupled system around (Theta_m, 0) gives the Hill
+    equation of the omega plane at (delta, n^2/m^2), decided by its
+    ``trace_at``, so the verdict is invariant under (m, n) -> (km, kn).
     """
-    p = omega_coefficient(delta, pair.omega)
-    return monodromy(p, tol=tol, tol_boundary=tol_boundary).classification
+    return classify_trace(trace_at(Plane.OMEGA, delta, pair.omega, tol=tol), tol_boundary)
 

@@ -29,8 +29,8 @@ class DuffingParams:
     omega: float = 1.0
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.delta) or self.delta == 0.0:
-            raise DomainError(f"delta must be finite and nonzero, got {self.delta!r}")
+        if self.delta == 0.0 or not math.isfinite(2.0 * (1.0 + self.delta * self.delta)):
+            raise DomainError(f"delta must be nonzero, 2 (1 + delta^2) finite, got {self.delta!r}")
         if not (self.omega > 0.0) or not math.isfinite(self.omega):
             raise DomainError(f"omega must be positive, got {self.omega!r}")
 

@@ -3,11 +3,11 @@
 A Hill equation is xi'' + p(t) xi = 0 with p periodic of least period T.
 The principal fundamental matrix at t = T (the monodromy matrix) decides
 stability: both Floquet multipliers lie on the unit circle exactly when
-|trace| <= 2.  This module builds the periodic coefficients used
-throughout the library, integrates the monodromy matrix with an adaptive
-embedded Runge-Kutta pair (one coefficient at a time, or a batch of
-squared-Duffing lanes with their own amplitudes), and verifies the three
-closed-form resonant solutions built from Jacobi functions.
+|trace| <= 2.  This module builds the periodic coefficients, integrates
+with an adaptive embedded Runge-Kutta pair the monodromy matrix of any one
+of them (the reference path) and the traces of a batch of squared-Duffing
+points (the path of every squared-Duffing trace in the library), and
+verifies the three closed-form resonant solutions built from Jacobi functions.
 """
 
 from __future__ import annotations
@@ -239,15 +239,17 @@ def lane_traces(delta, a, b, tol: float = DEFAULT_TOL,
     principal solutions u1, u2 give the trace 2 (u1 u2' + u1' u2) at
     tau = 1 (Magnus & Winkler, *Hill's Equation*, 1966).  The lanes step
     together on DOP853 with a per-lane error norm (``integrate.solve_lanes``).
-    A lane with delta = 0 or a non-finite delta, a_i or b_i gets NaN and
-    takes no part in the step-size control.  After a step-cap or underflow
-    failure every lane is integrated again alone, and one that fails alone
-    gets NaN.  Traces agree with ``monodromy`` within the integrator
-    tolerance, not bit for bit.
+    A lane with a delta ``DuffingParams`` rejects or a non-finite a_i or b_i
+    gets NaN and takes no part in the step-size control.  After a step-cap
+    or underflow failure every lane is integrated again alone, and one that
+    fails alone gets NaN.  Traces agree with ``monodromy`` within the
+    integrator tolerance, not bit for bit.
     """
     delta, a, b = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (delta, a, b)))
     trace = np.full(a.shape, math.nan)
-    live = np.flatnonzero(np.isfinite(a) & np.isfinite(b) & np.isfinite(delta) & (delta != 0.0))
+    with np.errstate(over="ignore"):  # where DuffingParams rejects delta
+        ok = np.isfinite(2.0 * (1.0 + delta * delta)) & (delta != 0.0)
+    live = np.flatnonzero(np.isfinite(a) & np.isfinite(b) & ok)
     if not live.size:
         return LaneTraces(trace, 0, 0)
     uniq, where = np.unique(delta[live], return_inverse=True)

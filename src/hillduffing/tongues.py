@@ -28,7 +28,7 @@ from .hill import (
     Stability,
     classify_trace,
     lane_traces,
-    monodromy,
+    monodromy,  # noqa: F401  (bench/spans.py patches tongues.monodromy)
     omega_coefficient,
     squared_duffing_coefficient,
 )
@@ -36,6 +36,7 @@ from .hill import (
 CLASS_NAMES = {0: "stable", 1: "unstable", 2: "boundary", 3: "nan"}
 _CLASS_CODE = {Stability.STABLE: 0, Stability.UNSTABLE: 1, Stability.BOUNDARY: 2}
 FAILED_CODE = 3
+_WALK_CHUNK = 8  # outward-walk candidates per lane batch
 
 
 class Plane(enum.Enum):
@@ -92,8 +93,11 @@ def axis_values(lo: float, hi: float, count: int) -> np.ndarray:
 
 
 def trace_at(plane: Plane, delta: float, y: float, tol: float = DEFAULT_TOL) -> float:
-    """Monodromy trace at one point of the chosen parameter plane."""
-    return monodromy(plane.coefficient(delta, y), tol=tol).trace
+    """Monodromy trace at one point of the chosen parameter plane: a one-lane
+    ``hill.lane_traces`` run, within the integrator tolerance of ``monodromy``.
+    A point with no coefficient (``Plane.coefficient``) raises ``DomainError``."""
+    plane.coefficient(delta, y)  # names a bad delta, y or omega
+    return float(_line(plane, delta, [y], tol)[0])
 
 
 def map_cells(fn: Callable, tasks: list, workers: int) -> list:
@@ -114,11 +118,11 @@ def _refine_peak(f: Callable[[float], float], a: float, b: float,
 
 
 def _line(plane: Plane, delta, ys, tol: float) -> np.ndarray:
-    """|trace| at the broadcast points (delta, ys) of a line search; a failed lane raises."""
+    """Traces at the broadcast points (delta, ys) as one batch of lanes; a failed lane raises."""
     trace = lane_traces(delta, *plane.lane_pair(ys), tol=tol).trace
     if np.isnan(trace).any():
         raise IntegrationFailure(f"a lane failed on the {plane.value} line")
-    return np.abs(trace)
+    return trace
 
 
 def _scan_column(task: tuple[Plane, float, np.ndarray, float, float]
@@ -290,10 +294,10 @@ def trace_level_bracket(
 
     The window is seeded from the exact first-tongue boundary (ell = 1) or
     the parabolic bounds (ell >= 2), generously padded because those are
-    only small-amplitude asymptotics.  The window is sampled as one scan
-    column; local maxima of |trace| near the threshold are refined, and
-    bisection runs from the refined interior point out to the stable side,
-    each point on ``monodromy`` (as is the reported ``peak_trace``).
+    only small-amplitude asymptotics.  The window is one batch of lanes; local
+    maxima of |trace| near the threshold are refined on ``trace_at``.  A walk with
+    growing steps, ``_WALK_CHUNK`` candidates per batch, goes from the refined point
+    to the stable side, and ``brentq`` on ``trace_at`` bisects the last step.
 
     Raises
     ------
@@ -318,7 +322,7 @@ def trace_level_bracket(
     peak_y = peak_val = None
     for _ in range(3):
         ys = np.linspace(lo, hi, samples)
-        vals = _line(plane, delta, ys, integrator_tol)
+        vals = np.abs(_line(plane, delta, ys, integrator_tol))
         order = np.argsort(vals)[::-1]
         for idx in order[:8]:
             if vals[idx] <= threshold - 0.6:
@@ -344,20 +348,23 @@ def trace_level_bracket(
         )
 
     def crossing(direction: int) -> float:
+        # up to 200 candidates ys[1:]; the first at or past y_floor is clipped, not evaluated
         step = (hi - lo) / samples
-        y_in, y_out = peak_y, peak_y + direction * step
-        for _ in range(200):
-            if y_out <= y_floor:
-                y_out = y_floor
-                break
-            if abs_trace(y_out) < threshold:
-                break
-            y_in = y_out
-            y_out = y_out + direction * step
+        ys = [peak_y, peak_y + direction * step]
+        while len(ys) <= 200 and ys[-1] > y_floor:
+            ys.append(ys[-1] + direction * step)
             step *= 1.3
-        else:
+        end = len(ys) - (ys[-1] <= y_floor)
+        ys[-1] = max(ys[-1], y_floor)
+        for i in range(1, end, _WALK_CHUNK):
+            chunk = ys[i:min(i + _WALK_CHUNK, end)]
+            below = np.flatnonzero(np.abs(_line(plane, delta, chunk, integrator_tol)) < threshold)
+            if below.size:
+                end = i + int(below[0])
+                break
+        if end == len(ys):  # neither below the threshold nor clipped
             raise BracketNotFound("stable side not reached during outward walk")
-        a, b = sorted((y_in, y_out))
+        a, b = sorted((ys[end - 1], ys[end]))
         return float(brentq(lambda y: abs_trace(y) - threshold, a, b, xtol=bisect_tol))
 
     lower = crossing(-1)
@@ -439,10 +446,10 @@ def recount_crossings(
     refined by bounded maximisation and counts as a crossing pair when the
     refined trace genuinely exceeds 2.
 
-    The default ``delta_max = 6`` undercounts the table: it gives 2 / 4 /
-    5 / 4 where ``crossing_count`` gives 3 / 6 / 8 / 9 at omega = 2.5 /
-    4.5 / 5.5 / 6.5 (``delta_max = 12`` gives 3 at 2.5).  A longer sweep
-    does not close the gap; ROADMAP item 2 counts by rotation number.
+    The default ``delta_max = 6`` undercounts the table: it gives 2 / 6 / 5 / 6
+    where ``crossing_count`` gives 3 / 6 / 8 / 9 at omega = 2.5 / 4.5 / 5.5 / 6.5,
+    and both 6s rest on near misses within 2e-13 of |trace| = 2, inside the
+    integration error; a longer sweep does not help (ROADMAP item 2).
     """
     omega = float(omega)
     if not 0.0 < omega < math.inf:
@@ -458,7 +465,7 @@ def recount_crossings(
         return abs(trace_at(Plane.OMEGA, d, omega, tol=integrator_tol))
 
     deltas = np.arange(coarse_step, delta_max + 0.5 * coarse_step, coarse_step)
-    abstr = _line(Plane.OMEGA, deltas, omega, integrator_tol)
+    abstr = np.abs(_line(Plane.OMEGA, deltas, omega, integrator_tol))
     unstable = abstr > 2.0
     mid = abstr[1:-1]
     near = ~(unstable[:-2] | unstable[1:-1] | unstable[2:]) & (mid > 2.0 - near_band) \
