@@ -142,6 +142,8 @@ def simulate(
         raise DomainError(f"horizon must be finite and positive, got {horizon!r}")
     if not 1.0 < growth_factor < math.inf:
         raise DomainError(f"growth_factor must be finite and > 1, got {growth_factor!r}")
+    if not samples >= 1:
+        raise DomainError(f"samples must be at least 1, got {samples!r}")
 
     m2 = float(pair.m * pair.m)
     n2 = float(pair.n * pair.n)

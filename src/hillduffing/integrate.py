@@ -1,28 +1,30 @@
 """Embedded Runge-Kutta integration with a step cap, per system or in lanes.
 
-Every entry point runs scipy's DOP853 through one step loop, which adds
-the two behaviours the library contracts require and scipy's
-``solve_ivp`` does not expose directly: a hard cap on the number of
-accepted steps (so pathological coefficients cannot hang a computation)
-and a failure reported on step-size underflow.
-
-``solve_final`` and ``solve_sampled`` integrate one system and raise
-``IntegrationFailure``.  ``solve_lanes`` steps many independent systems
-("lanes") together on one time grid, keeping the error control per lane
-(Hairer, Norsett & Wanner, *Solving ODEs I*, II.10); it reports a
-failure instead of raising, so its caller can retry the lanes one at a
-time.  Every entry point uses rtol = atol = tol.
+Every entry point runs the Dormand-Prince 8(5,3) method with rtol = atol
+= tol under a hard cap on accepted steps (so pathological coefficients
+cannot hang a computation), and reports step-size underflow as a failure.
+``solve_final`` (under ``monodromy``, the reference path) and
+``solve_lanes`` step scipy's Python ``DOP853`` in one loop, ``_march``, so
+a one-lane run reproduces ``solve_final`` bit for bit.  Lanes are
+independent systems stepped together, each with its own error norm
+(Hairer, Norsett & Wanner, *Solving ODEs I*, II.10); their failure is
+reported, not raised, so the caller can retry lanes singly.
+``solve_sampled`` runs the beam's long trajectories on the compiled DOP853
+(scipy's ``ode``), one call per sample time, so only the right-hand side
+and a step counter run in Python and every row is an integrated value.
 """
 
 from __future__ import annotations
 
+import itertools
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import DOP853
+from scipy.integrate import DOP853, ode
 
-from .errors import IntegrationFailure
+from .errors import DomainError, IntegrationFailure
 
 DEFAULT_MAX_STEPS = 10_000_000
 
@@ -30,14 +32,13 @@ DEFAULT_MAX_STEPS = 10_000_000
 def _check_tol(tol: float) -> float:
     tol = float(tol)
     if not 1e-12 <= tol <= 1e-6:
-        raise ValueError(f"tolerance must lie in [1e-12, 1e-6], got {tol!r}")
+        raise DomainError(f"tolerance tol must lie in [1e-12, 1e-6], got {tol!r}")
     return tol
 
 
-def _march(solver: DOP853, max_steps: int, on_step=None) -> tuple[int, str | None]:
-    """Step ``solver`` to its end, calling ``on_step(solver)`` after each
-    accepted step.  Returns the steps taken and None, or the reason the
-    integration stopped early (step cap or underflow)."""
+def _march(solver: DOP853, max_steps: int) -> tuple[int, str | None]:
+    """Step ``solver`` to its end.  Returns the steps taken and None, or
+    the reason the integration stopped early (step cap or underflow)."""
     steps = 0
     while solver.status == "running":
         solver.step()
@@ -46,8 +47,6 @@ def _march(solver: DOP853, max_steps: int, on_step=None) -> tuple[int, str | Non
             return steps, f"step cap {max_steps} exceeded at t={solver.t}"
         if solver.status == "failed":
             return steps, f"step size underflow at t={solver.t}"
-        if on_step is not None:
-            on_step(solver)
     return steps, None
 
 
@@ -80,35 +79,34 @@ def solve_sampled(
     t_samples: np.ndarray,
     max_steps: int = DEFAULT_MAX_STEPS,
 ) -> np.ndarray:
-    """Integrate and evaluate the dense output on ``t_samples``.
-
-    ``t_samples`` must be increasing and contained in [t0, t1].  Returns an
-    array of shape (len(t_samples), len(y0)).
-    """
+    """Integrate y' = rhs(t, y) from t0 and return y at each of ``t_samples``,
+    which must lie in [t0, t1], as an array of shape (len(t_samples),
+    len(y0)).  ``max_steps`` caps the accepted steps of the whole run."""
     tol = _check_tol(tol)
     y0 = np.asarray(y0, dtype=float)
     t_samples = np.asarray(t_samples, dtype=float)
+    if t_samples.size and not t0 <= t_samples.min() <= t_samples.max() <= t1:
+        raise ValueError(f"t_samples must lie in [t0, t1] = [{t0!r}, {t1!r}]")
     out = np.empty((t_samples.size, y0.size))
-    filled = 0
-    if t_samples.size and t_samples[0] == t0:
-        out[0] = y0
-        filled = 1
-
-    def fill(solver: DOP853) -> None:
-        nonlocal filled
-        hi = np.searchsorted(t_samples, solver.t, side="right")
-        if hi > filled:
-            dense = solver.dense_output()
-            out[filled:hi] = dense(t_samples[filled:hi]).T
-            filled = hi
-
-    solver = DOP853(rhs, t0, y0, t1, rtol=tol, atol=tol)
-    _, failure = _march(solver, max_steps, fill)
-    if failure is not None:
-        raise IntegrationFailure(failure)
-    if filled < t_samples.size:
-        # trailing samples equal t1 up to rounding of the final step
-        out[filled:] = solver.y
+    failures = {2: f"step cap {max_steps} exceeded", -2: "over max_steps steps in one call",
+                -1: "inconsistent input", -3: "step size underflow", -4: "problem looks stiff"}
+    # the counter runs after each accepted step and once at each call's start
+    calls, starts = itertools.count(1), 0
+    solver = ode(rhs).set_integrator("dop853", rtol=tol, atol=tol, nsteps=max_steps)
+    solver.set_solout(lambda t, y: -1 if next(calls) - starts > max_steps else 0)
+    solver.set_initial_value(y0, t0)
+    prev, row = t0, y0
+    with warnings.catch_warnings():
+        # scipy warns on each failed call; the failure is raised instead
+        warnings.filterwarnings("ignore", "dop853: ", UserWarning)
+        for i, t in enumerate(t_samples):
+            if t != prev:  # a zero-length call would fail
+                starts += 1
+                prev, row = t, solver.integrate(t)
+                code = solver.get_return_code()
+                if code == 2 or code < 0:
+                    raise IntegrationFailure(f"{failures.get(code, code)} at t={solver.t}")
+            out[i] = row
     return out
 
 
