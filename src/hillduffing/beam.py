@@ -87,17 +87,22 @@ class SimulationResult:
     trajectory: np.ndarray
 
 
+def _two_mode_rhs(pair: ModePair):
+    """The coupled system as y' = rhs(t, y) with y = (w, w', z, z')."""
+    m2 = float(pair.m * pair.m)
+    n2 = float(pair.n * pair.n)
+
+    def rhs(t: float, y):
+        coupling = m2 * y[0] * y[0] + n2 * y[2] * y[2]
+        return (y[1], -(m2 * m2 + m2 * coupling) * y[0],
+                y[3], -(n2 * n2 + n2 * coupling) * y[2])
+
+    return rhs
+
+
 def coupled_rhs(pair: ModePair, state: BeamState) -> tuple[float, float, float, float]:
     """Right-hand side (w', w'', z', z'') of the coupled two-mode system."""
-    m2 = pair.m * pair.m
-    n2 = pair.n * pair.n
-    coupling = m2 * state.w * state.w + n2 * state.z * state.z
-    return (
-        state.w_dot,
-        -m2 * m2 * state.w - m2 * coupling * state.w,
-        state.z_dot,
-        -n2 * n2 * state.z - n2 * coupling * state.z,
-    )
+    return _two_mode_rhs(pair)(state.t, (state.w, state.w_dot, state.z, state.z_dot))
 
 
 def energy(pair: ModePair, state: BeamState) -> float:
@@ -145,30 +150,17 @@ def simulate(
     if not samples >= 1:
         raise DomainError(f"samples must be at least 1, got {samples!r}")
 
-    m2 = float(pair.m * pair.m)
-    n2 = float(pair.n * pair.n)
-
-    def rhs(t: float, y: np.ndarray):
-        coupling = m2 * y[0] * y[0] + n2 * y[2] * y[2]
-        return (y[1], -(m2 * m2 + m2 * coupling) * y[0],
-                y[3], -(n2 * n2 + n2 * coupling) * y[2])
-
     # sample densely enough to resolve the fast mode's envelope
-    fast = max(m2, n2)
+    fast = max(pair.m, pair.n) ** 2
     n_internal = int(min(200_000, max(samples, 24.0 * horizon * fast / (2.0 * math.pi))))
     ts = np.linspace(0.0, horizon, n_internal)
     y0 = (float(delta), 0.0, z_ratio * float(delta), 0.0)
-    states = solve_sampled(rhs, 0.0, horizon, y0, tol, ts)
+    states = solve_sampled(_two_mode_rhs(pair), 0.0, horizon, y0, tol, ts)
 
     threshold = growth_factor * z_ratio * abs(delta)
     abs_z = np.abs(states[:, 2])
-    exceeded = np.nonzero(abs_z > threshold)[0]
-    if exceeded.size:
-        verdict = TransferVerdict.ENERGY_TRANSFER
-        onset: float | None = float(ts[exceeded[0]])
-    else:
-        verdict = TransferVerdict.NO_TRANSFER_OBSERVED
-        onset = None
+    exceeded = np.flatnonzero(abs_z > threshold)
+    onset = float(ts[exceeded[0]]) if exceeded.size else None
 
     keep = np.linspace(0, n_internal - 1, min(samples, n_internal)).round().astype(int)
     trajectory = np.column_stack(
@@ -179,7 +171,8 @@ def simulate(
         delta=float(delta),
         z_ratio=float(z_ratio),
         horizon=float(horizon),
-        verdict=verdict,
+        verdict=(TransferVerdict.NO_TRANSFER_OBSERVED if onset is None
+                 else TransferVerdict.ENERGY_TRANSFER),
         onset_time=onset,
         threshold=float(threshold),
         max_abs_z=float(abs_z.max()),

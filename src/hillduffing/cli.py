@@ -51,10 +51,6 @@ def _workers(args: argparse.Namespace) -> int:
     return n
 
 
-def _basename(out: str) -> str:
-    return out[:-4] if out.endswith(".csv") else out
-
-
 def _write_text(path: str, lines) -> None:
     tmp = path + ".tmp"
     with open(tmp, "w", newline="\n") as fh:
@@ -63,15 +59,21 @@ def _write_text(path: str, lines) -> None:
     os.replace(tmp, path)
 
 
-def _write_meta(path: str, command: str, config: dict, wall_time: float) -> None:
+def _write_grid(args: argparse.Namespace, rows, cells: int, config: dict, wall: float) -> int:
+    """Write ``<base>.csv`` from ``rows`` and the ``<base>.meta.json`` sidecar
+    with ``config`` and the computation's wall time ``wall``."""
+    base = args.out[:-4] if args.out.endswith(".csv") else args.out
+    _write_text(base + ".csv", rows)
     payload = {
-        "command": command,
+        "command": args.command,
         "config": config,
         "library_version": __version__,
-        "wall_time_s": wall_time,
+        "wall_time_s": wall,
         "created_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
     }
-    _write_text(path, [json.dumps(payload, indent=2, sort_keys=True)])
+    _write_text(base + ".meta.json", [json.dumps(payload, indent=2, sort_keys=True)])
+    print(f"wrote {base}.csv ({cells} cells) and {base}.meta.json")
+    return 0
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
@@ -85,12 +87,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         integrator_tol=args.tol, tol_boundary=tol_boundary, workers=workers,
     )
     wall = time.perf_counter() - t0
-    base = _basename(args.out)
-    _write_text(base + ".csv", grid.csv_rows())
     config = dict(grid.meta, workers=workers, paper_figures=args.paper_figures)
-    _write_meta(base + ".meta.json", "scan", config, wall)
-    print(f"wrote {base}.csv ({nx * ny} cells) and {base}.meta.json")
-    return 0
+    return _write_grid(args, grid.csv_rows(), nx * ny, config, wall)
 
 
 def _criteria_cell(task) -> tuple[str, ...]:
@@ -123,21 +121,14 @@ def _cmd_criteria_map(args: argparse.Namespace) -> int:
     workers = _workers(args)
     cells = tongues.map_cells(_criteria_cell, tasks, workers)
     wall = time.perf_counter() - t0
-
     header = "x,y," + ",".join(n.replace("-", "_") for n in names)
-    lines = [header]
-    for idx, verdicts in enumerate(cells):
-        i, j = divmod(idx, ys.size)
-        lines.append(f"{xs[i]:.17g},{ys[j]:.17g}," + ",".join(verdicts))
-    base = _basename(args.out)
-    _write_text(base + ".csv", lines)
+    rows = [header] + [f"{x:.17g},{y:.17g}," + ",".join(v)
+                       for (_, x, y, _), v in zip(tasks, cells)]
     config = {
         "plane": args.plane, "x_range": [x_lo, x_hi], "y_range": [y_lo, y_hi],
         "resolution": [nx, ny], "criteria": names, "workers": workers,
     }
-    _write_meta(base + ".meta.json", "criteria-map", config, wall)
-    print(f"wrote {base}.csv ({nx * ny} cells) and {base}.meta.json")
-    return 0
+    return _write_grid(args, rows, nx * ny, config, wall)
 
 
 def _cmd_tongue_bracket(args: argparse.Namespace) -> int:
@@ -188,17 +179,13 @@ def _cmd_duffing_eval(args: argparse.Namespace) -> int:
     params = duffing.DuffingParams(args.delta, args.omega)
     t_lo, t_hi, nt = _parse_range(args.t)
     ts = tongues.axis_values(t_lo, t_hi, nt)
-    lines = ["t,y,y_dot"]
-    for t in ts:
-        y = duffing.duffing_solution(params, t)
-        v = duffing.duffing_velocity(params, t)
-        lines.append(f"{t:.17g},{y:.17g},{v:.17g}")
+    lines = ["t,y,y_dot"] + [f"{t:.17g},{duffing.duffing_solution(params, t):.17g},"
+                             f"{duffing.duffing_velocity(params, t):.17g}" for t in ts]
     if args.out:
         _write_text(args.out, lines)
         print(f"wrote {args.out} ({nt} rows)")
     else:
-        for line in lines:
-            print(line)
+        print("\n".join(lines))
     print(f"period: {duffing.period(params):.17g}")
     if args.omega == 1.0:
         print(f"energy: {duffing.energy(params):.17g}")
@@ -214,45 +201,45 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name: str, **kwargs) -> argparse.ArgumentParser:
+    def add_parser(name: str, func, **kwargs) -> argparse.ArgumentParser:
         p = sub.add_parser(name, **kwargs)
         p._negative_number_matcher = _NEGATIVE_RANGE
+        p.set_defaults(func=func)
         return p
 
-    scan_p = add_parser("scan", help="monodromy-trace grid over a parameter plane")
-    scan_p.add_argument("--plane", choices=["gamma", "omega"], required=True)
-    scan_p.add_argument("--x", required=True, metavar="LO:HI:COUNT",
-                        help="delta axis, inclusive endpoints")
-    scan_p.add_argument("--y", required=True, metavar="LO:HI:COUNT",
-                        help="gamma or omega axis")
-    scan_p.add_argument("--tol", type=float, default=hill.DEFAULT_TOL)
-    scan_p.add_argument("--tol-boundary", type=float, default=hill.DEFAULT_TOL_BOUNDARY)
-    scan_p.add_argument("--paper-figures", action="store_true",
-                        help="classify against the published level lines +-1.98")
-    scan_p.add_argument("--workers", type=int, default=1)
-    scan_p.add_argument("--out", required=True, help="output base name")
-    scan_p.set_defaults(func=_cmd_scan)
+    def add_grid_parser(name: str, func, **kwargs) -> argparse.ArgumentParser:
+        """A grid command's parser with its plane, axes, workers and output base name."""
+        p = add_parser(name, func, **kwargs)
+        p.add_argument("--plane", choices=["gamma", "omega"], required=True)
+        p.add_argument("--x", required=True, metavar="LO:HI:COUNT",
+                       help="delta axis, inclusive endpoints")
+        p.add_argument("--y", required=True, metavar="LO:HI:COUNT", help="gamma or omega axis")
+        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--out", required=True, help="output base name")
+        return p
 
-    crit_p = add_parser("criteria-map", help="per-cell sufficient-criterion verdicts")
-    crit_p.add_argument("--plane", choices=["gamma", "omega"], required=True)
-    crit_p.add_argument("--x", required=True, metavar="LO:HI:COUNT")
-    crit_p.add_argument("--y", required=True, metavar="LO:HI:COUNT")
+    scan_p = add_grid_parser("scan", _cmd_scan, help="monodromy-trace grid over a parameter plane")
+    scan_p.add_argument("--tol", type=float, default=hill.DEFAULT_TOL)
+    band = scan_p.add_mutually_exclusive_group()
+    band.add_argument("--tol-boundary", type=float, default=hill.DEFAULT_TOL_BOUNDARY)
+    band.add_argument("--paper-figures", action="store_true",
+                      help="classify against the published level lines +-1.98")
+
+    crit_p = add_grid_parser("criteria-map", _cmd_criteria_map,
+                             help="per-cell sufficient-criterion verdicts")
     crit_p.add_argument("--criteria", default="li-zhang,zhukovskii,burdina",
                         help="comma-separated subset of li-zhang, zhukovskii, burdina")
-    crit_p.add_argument("--workers", type=int, default=1)
-    crit_p.add_argument("--out", required=True)
-    crit_p.set_defaults(func=_cmd_criteria_map)
 
-    tb_p = add_parser("tongue-bracket", help="bisect tongue boundaries at fixed delta")
+    tb_p = add_parser("tongue-bracket", _cmd_tongue_bracket,
+                      help="bisect tongue boundaries at fixed delta")
     tb_p.add_argument("--plane", choices=["gamma", "omega"], required=True)
     tb_p.add_argument("--ell", type=int, required=True)
     tb_p.add_argument("--delta", type=float, required=True)
     tb_p.add_argument("--threshold", type=float, default=None)
     tb_p.add_argument("--tol", type=float, default=hill.DEFAULT_TOL)
     tb_p.add_argument("--out", default=None, help="optional JSON output path")
-    tb_p.set_defaults(func=_cmd_tongue_bracket)
 
-    beam_p = add_parser("beam", help="two-mode beam simulation and transfer verdict")
+    beam_p = add_parser("beam", _cmd_beam, help="two-mode beam simulation and transfer verdict")
     beam_p.add_argument("--m", type=int, required=True)
     beam_p.add_argument("--n", type=int, required=True)
     beam_p.add_argument("--delta", type=float, required=True)
@@ -261,18 +248,16 @@ def _build_parser() -> argparse.ArgumentParser:
     beam_p.add_argument("--growth-factor", type=float, default=beam.DEFAULT_GROWTH_FACTOR)
     beam_p.add_argument("--tol", type=float, default=hill.DEFAULT_TOL)
     beam_p.add_argument("--out", default=None, help="trajectory CSV path")
-    beam_p.set_defaults(func=_cmd_beam)
 
-    ver_p = add_parser("verify", help="run a named self-check suite")
+    ver_p = add_parser("verify", _cmd_verify, help="run a named self-check suite")
     ver_p.add_argument("suite", choices=[*verify.SUITES, "all"])
-    ver_p.set_defaults(func=_cmd_verify)
 
-    de_p = add_parser("duffing-eval", help="tabulate a closed-form Duffing solution")
+    de_p = add_parser("duffing-eval", _cmd_duffing_eval,
+                      help="tabulate a closed-form Duffing solution")
     de_p.add_argument("--delta", type=float, required=True)
     de_p.add_argument("--omega", type=float, default=1.0)
     de_p.add_argument("--t", required=True, metavar="LO:HI:COUNT")
     de_p.add_argument("--out", default=None)
-    de_p.set_defaults(func=_cmd_duffing_eval)
     return parser
 
 

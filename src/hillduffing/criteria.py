@@ -81,21 +81,18 @@ def _sampled_bounds(p: PeriodicCoefficient) -> tuple[float, float]:
     return float(vals.min()) - pad, float(vals.max()) + pad
 
 
-def _bounds(p: PeriodicCoefficient) -> tuple[float, float, bool]:
+def _bounds(p: PeriodicCoefficient) -> tuple[float, float]:
     if p.analytic_min is not None and p.analytic_max is not None:
-        return float(p.analytic_min), float(p.analytic_max), True
-    lo, hi = _sampled_bounds(p)
-    return lo, hi, False
+        return float(p.analytic_min), float(p.analytic_max)
+    return _sampled_bounds(p)
 
 
 def li_zhang(p: PeriodicCoefficient) -> CriterionVerdict:
     """L^2 mean test: stable if p >= 0 and T^3 int_0^T p^2 < (64/3) sigma^4."""
-    pmin, pmax, _ = _bounds(p)
+    pmin, pmax = _bounds(p)
     if pmin < 0.0:
-        return CriterionVerdict(
-            Criterion.LI_ZHANG, Outcome.INCONCLUSIVE,
-            quantities={"min_p": pmin}, note="requires p >= 0",
-        )
+        return CriterionVerdict(Criterion.LI_ZHANG, Outcome.INCONCLUSIVE,
+                                quantities={"min_p": pmin}, note="requires p >= 0")
     T = p.period
     integral, err = quad(lambda t: p(t) ** 2, 0.0, T, epsabs=_QUAD_EPS,
                          epsrel=1e-11, limit=400)
@@ -112,12 +109,10 @@ def li_zhang(p: PeriodicCoefficient) -> CriterionVerdict:
 def zhukovskii(p: PeriodicCoefficient) -> CriterionVerdict:
     """Harmonic interval test: stable if some l has
     l^2 pi^2 / T^2 <= p <= (l+1)^2 pi^2 / T^2 everywhere."""
-    pmin, pmax, exact = _bounds(p)
+    pmin, pmax = _bounds(p)
     if pmin < 0.0:
-        return CriterionVerdict(
-            Criterion.ZHUKOVSKII, Outcome.INCONCLUSIVE,
-            quantities={"min_p": pmin}, note="requires p >= 0",
-        )
+        return CriterionVerdict(Criterion.ZHUKOVSKII, Outcome.INCONCLUSIVE,
+                                quantities={"min_p": pmin}, note="requires p >= 0")
     T = p.period
     scale = math.pi / T
     ell = int(math.floor(math.sqrt(pmin) / scale))
@@ -131,26 +126,29 @@ def zhukovskii(p: PeriodicCoefficient) -> CriterionVerdict:
 
 
 def burdina(p: PeriodicCoefficient) -> CriterionVerdict:
-    """Phase-integral test on A = int sqrt(p) and B = (1/2) log(max/min).
-
-    Requires p > 0 with a unique maximum and minimum per period; stable if
-    some l has l pi < A - B and A + B < (l+1) pi.  Only l = floor(A / pi)
-    can work (the window containing A is unique), so only it is tried.
-    """
+    """Phase-integral test: stable if some l has l pi < A - B and A + B < (l+1) pi,
+    with A = int sqrt(p) over a period and B = (1/2) log(max/min).  Requires
+    p > 0 with a unique maximum and minimum per period."""
     if not p.single_extremum_pair:
         return CriterionVerdict(Criterion.BURDINA, Outcome.INCONCLUSIVE,
                                 note="requires a unique extremum pair per period")
-    pmin, pmax, _ = _bounds(p)
+    pmin, pmax = _bounds(p)
     if pmin <= 0.0:
         return CriterionVerdict(Criterion.BURDINA, Outcome.INCONCLUSIVE,
                                 quantities={"min_p": pmin}, note="requires p > 0")
     A, err = quad(lambda t: math.sqrt(p(t)), 0.0, p.period, epsabs=_QUAD_EPS,
                   epsrel=1e-11, limit=400)
-    B = 0.5 * math.log(pmax / pmin)
+    return _phase_window(A, 0.5 * math.log(pmax / pmin), max(err, _MARGIN))
+
+
+def _phase_window(A: float, B: float, margin: float, **quantities: float) -> CriterionVerdict:
+    """Burdina's window test: stable if some l has l pi < A - B and
+    A + B < (l + 1) pi, each by more than ``margin``.  Only l = floor(A / pi)
+    can work (the window containing A is unique), so only it is tried.
+    ``quantities`` are reported with A, B and the window."""
     ell = int(math.floor(A / math.pi))
-    margin = max(err, _MARGIN)
-    q = {"phase_integral": A, "log_correction": B,
-         "window_lo": ell * math.pi, "window_hi": (ell + 1) * math.pi}
+    q = dict(quantities, phase_integral=A, log_correction=B,
+             window_lo=ell * math.pi, window_hi=(ell + 1) * math.pi)
     if ell >= 0 and A - B - ell * math.pi > margin and (ell + 1) * math.pi - (A + B) > margin:
         return CriterionVerdict(Criterion.BURDINA, Outcome.GUARANTEED_STABLE,
                                 witness_ell=ell, quantities=q)
@@ -197,25 +195,18 @@ def _burdina_condition(delta: float, c: float, phase: Callable[[float, float], f
     ``name``), with ``phase(delta, c)`` the plane's phase integral."""
     if not 0.0 < delta < math.inf or not 0.0 < c < math.inf:
         raise DomainError(f"need finite delta > 0 and {name} > 0, got ({delta!r}, {c!r})")
-    a = phase(delta, c)
     log_ratio = math.log1p(delta * delta / c)
-    ell = int(math.floor(a / math.pi))
-    window = 2.0 * min(a - ell * math.pi, (ell + 1) * math.pi - a)
-    q = {"delta": delta, name: c, "phase_integral": a, "log_ratio": log_ratio,
-         "window": window}
-    if ell >= 0 and log_ratio < window - _MARGIN:
-        return CriterionVerdict(Criterion.BURDINA, Outcome.GUARANTEED_STABLE,
-                                witness_ell=ell, quantities=q)
-    return CriterionVerdict(Criterion.BURDINA, Outcome.INCONCLUSIVE,
-                            quantities=q, note="log ratio exceeds the window")
+    # log_ratio < 2 min(A - l pi, (l + 1) pi - A) - _MARGIN, in the window test's form
+    return _phase_window(phase(delta, c), 0.5 * log_ratio, 0.5 * _MARGIN,
+                         delta=delta, **{name: c}, log_ratio=log_ratio)
 
 
 def burdina_condition_gamma(delta: float, gamma: float) -> CriterionVerdict:
     """Phase-integral condition in closed form for the gamma plane.
 
-    Stable if log(1 + delta^2/gamma) < 2 min(phi - l pi, (l+1) pi - phi)
-    for l = floor(phi / pi); by the change of variables behind ``phi`` this
-    is exactly the time-domain phase-integral test.
+    The window test with A = phi and B = (1/2) log(1 + delta^2/gamma); by
+    the change of variables behind ``phi`` this is exactly the time-domain
+    phase-integral test.
     """
     return _burdina_condition(delta, gamma, phi, "gamma")
 

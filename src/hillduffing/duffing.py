@@ -10,10 +10,18 @@ elliptic cosine, never by time stepping.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from . import elliptic
 from .errors import DomainError
+
+_DELTA_MAX = math.sqrt(sys.float_info.max / 2.0)  # the largest delta with 2 (1 + delta^2) finite
+
+
+def valid_amplitude(delta):
+    """Whether ``DuffingParams`` accepts delta (nonzero, 2 (1 + delta^2) finite), elementwise."""
+    return (delta != 0.0) & (abs(delta) <= _DELTA_MAX)
 
 
 @dataclass(frozen=True)
@@ -29,7 +37,7 @@ class DuffingParams:
     omega: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.delta == 0.0 or not math.isfinite(2.0 * (1.0 + self.delta * self.delta)):
+        if not valid_amplitude(self.delta):
             raise DomainError(f"delta must be nonzero, 2 (1 + delta^2) finite, got {self.delta!r}")
         if not (self.omega > 0.0) or not math.isfinite(self.omega):
             raise DomainError(f"omega must be positive, got {self.omega!r}")

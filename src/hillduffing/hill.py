@@ -20,8 +20,8 @@ from typing import Callable
 import numpy as np
 
 from . import elliptic
-from .duffing import DuffingParams, period
-from .errors import DomainError
+from .duffing import DuffingParams, period, valid_amplitude
+from .errors import DomainError, require_finite
 from .integrate import DEFAULT_MAX_STEPS, solve_final, solve_lanes
 
 DEFAULT_TOL = 1e-10
@@ -50,6 +50,10 @@ class PeriodicCoefficient:
     analytic_max: float | None = None
     single_extremum_pair: bool = False
     label: str = ""
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.period < math.inf:
+            raise DomainError(f"period must be finite and positive, got {self.period!r}")
 
     def __call__(self, t: float) -> float:
         return self.func(t)
@@ -82,8 +86,6 @@ def _duffing_coefficient(params: DuffingParams, offset: float, label: str) -> Pe
     offset + delta^2, each attained once per period.
     """
     c = float(offset)
-    if not math.isfinite(c):
-        raise DomainError(f"{label}: offset must be finite, got {offset!r}")
     rate = params.argument_rate
     k = params.modulus
     d2 = float(params.delta) * float(params.delta)
@@ -108,6 +110,7 @@ def squared_duffing_coefficient(delta: float, gamma: float) -> PeriodicCoefficie
     Period T(delta)/2, bounds [gamma, gamma + delta^2]; all criteria are
     applied with this halved period.
     """
+    require_finite(gamma=gamma)
     return _duffing_coefficient(DuffingParams(delta), gamma,
                                 f"squared_duffing(delta={delta}, gamma={gamma})")
 
@@ -125,8 +128,8 @@ def omega_coefficient(delta: float, omega: float) -> PeriodicCoefficient:
 
 def mathieu_coefficient(a: float, q: float) -> PeriodicCoefficient:
     """Cross-validation fixture p(t) = a + 2 q cos(2 t) of period pi."""
-    a = float(a)
-    q = float(q)
+    a, q = float(a), float(q)
+    require_finite(a=a, q=q)
 
     def p(t: float) -> float:
         return a + 2.0 * q * math.cos(2.0 * t)
@@ -146,6 +149,8 @@ def classify_trace(trace: float, tol_boundary: float = DEFAULT_TOL_BOUNDARY) -> 
     with a boundary band of half-width ``tol_boundary`` in [0, 2)."""
     if not 0.0 <= tol_boundary < 2.0:
         raise DomainError(f"tol_boundary must lie in [0, 2), got {tol_boundary!r}")
+    if math.isnan(trace):
+        raise DomainError("trace is NaN")
     if abs(trace) < 2.0 - tol_boundary:
         return Stability.STABLE
     if abs(trace) > 2.0 + tol_boundary:
@@ -177,8 +182,8 @@ def monodromy(
     Raises
     ------
     IntegrationFailure
-        If the step count exceeds ``max_steps`` or the step size
-        underflows.
+        If the step count exceeds ``max_steps``, the step size
+        underflows or the coefficient is not finite at t = 0.
     """
     pf = p.func
 
@@ -247,9 +252,7 @@ def lane_traces(delta, a, b, tol: float = DEFAULT_TOL,
     """
     delta, a, b = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (delta, a, b)))
     trace = np.full(a.shape, math.nan)
-    with np.errstate(over="ignore"):  # where DuffingParams rejects delta
-        ok = np.isfinite(2.0 * (1.0 + delta * delta)) & (delta != 0.0)
-    live = np.flatnonzero(np.isfinite(a) & np.isfinite(b) & ok)
+    live = np.flatnonzero(np.isfinite(a) & np.isfinite(b) & valid_amplitude(delta))
     if not live.size:
         return LaneTraces(trace, 0, 0)
     uniq, where = np.unique(delta[live], return_inverse=True)

@@ -2,7 +2,8 @@
 
 Every entry point runs the Dormand-Prince 8(5,3) method with rtol = atol
 = tol under a hard cap on accepted steps (so pathological coefficients
-cannot hang a computation), and reports step-size underflow as a failure.
+cannot hang a computation), and reports step-size underflow and a
+non-finite derivative at t0 (where scipy's first step never ends) as failures.
 ``solve_final`` (under ``monodromy``, the reference path) and
 ``solve_lanes`` step scipy's Python ``DOP853`` in one loop, ``_march``, so
 a one-lane run reproduces ``solve_final`` bit for bit.  Lanes are
@@ -38,7 +39,10 @@ def _check_tol(tol: float) -> float:
 
 def _march(solver: DOP853, max_steps: int) -> tuple[int, str | None]:
     """Step ``solver`` to its end.  Returns the steps taken and None, or
-    the reason the integration stopped early (step cap or underflow)."""
+    the reason the integration stopped early (a non-finite derivative at
+    t0, the step cap or underflow)."""
+    if not np.isfinite(solver.f).all():
+        return 0, f"non-finite derivative at t0={solver.t}"
     steps = 0
     while solver.status == "running":
         solver.step()
@@ -139,8 +143,8 @@ class LaneSolution:
     ``y`` has the shape of the initial state, one column per lane.
     ``steps`` counts steps, with the one that failed if any, and
     ``rhs_evals`` calls of the right-hand side, each of which covers every
-    lane.  ``failure`` is None, or the reason (step cap or underflow) the
-    batch stopped early, in which case ``y`` is meaningless.
+    lane.  ``failure`` is None, or the reason (non-finite start, step cap or
+    underflow) the batch stopped early, in which case ``y`` is meaningless.
     """
 
     y: np.ndarray

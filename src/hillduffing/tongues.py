@@ -20,7 +20,8 @@ from typing import Callable, Iterable
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from .errors import BracketNotFound, DomainError, IntegrationFailure
+from .duffing import valid_amplitude
+from .errors import BracketNotFound, DomainError, IntegrationFailure, require_finite
 from .hill import (
     DEFAULT_TOL,
     DEFAULT_TOL_BOUNDARY,
@@ -218,6 +219,7 @@ def scan(
 
 def first_tongue_gamma(delta: float) -> tuple[float, float]:
     """Exact boundary (1, 1 + delta^2/2) of the first gamma-plane tongue."""
+    require_finite(delta=delta)
     d2 = float(delta) * float(delta)
     return (1.0, 1.0 + d2 / 2.0)
 
@@ -225,6 +227,7 @@ def first_tongue_gamma(delta: float) -> tuple[float, float]:
 def stability_strip_gamma(delta: float, gamma: float) -> StripVerdict:
     """Analytic strip verdict: stable for -delta^2/2 < gamma < 1, unstable
     below the parabola, no claim elsewhere."""
+    require_finite(delta=delta, gamma=gamma)
     d2 = float(delta) * float(delta)
     if -d2 / 2.0 < gamma < 1.0:
         return StripVerdict.STABLE
@@ -238,6 +241,7 @@ def asymptotic_tongue_bounds(plane: Plane, ell: int, delta: float) -> tuple[floa
     O(delta^4) as delta -> 0; no hard cutoff is enforced)."""
     if ell < 2:
         raise DomainError(f"parabolic bounds exist for ell >= 2 only, got {ell}")
+    require_finite(delta=delta)
     d2 = float(delta) * float(delta)
     if plane is Plane.GAMMA:
         center = ell * ell + (3.0 * ell * ell / 4.0 - 0.5) * d2
@@ -305,8 +309,8 @@ def trace_level_bracket(
         If no interior point with |trace| above the threshold is detected;
         thin tongues can fall below any fixed sampling resolution.
     """
-    if delta <= 0.0:
-        raise DomainError(f"need delta > 0, got {delta!r}")
+    if not (valid_amplitude(delta) and delta > 0.0):
+        raise DomainError(f"need delta > 0 with 2 (1 + delta^2) finite, got {delta!r}")
     if threshold is None:
         threshold = 2.0 - DEFAULT_TOL_BOUNDARY
     if not 0.0 < threshold <= 2.0:
