@@ -88,21 +88,25 @@ class SimulationResult:
 
 
 def _two_mode_rhs(pair: ModePair):
-    """The coupled system as y' = rhs(t, y) with y = (w, w', z, z')."""
+    """The coupled system as y' = rhs(t, y) with y = (w, w', z, z') an array.
+
+    The state is unpacked into Python floats, which is cheaper per call than
+    numpy-scalar arithmetic and gives the same IEEE results."""
     m2 = float(pair.m * pair.m)
     n2 = float(pair.n * pair.n)
 
-    def rhs(t: float, y):
-        coupling = m2 * y[0] * y[0] + n2 * y[2] * y[2]
-        return (y[1], -(m2 * m2 + m2 * coupling) * y[0],
-                y[3], -(n2 * n2 + n2 * coupling) * y[2])
+    def rhs(t: float, y: np.ndarray):
+        w, wd, z, zd = y.tolist()
+        coupling = m2 * w * w + n2 * z * z
+        return (wd, -(m2 * m2 + m2 * coupling) * w, zd, -(n2 * n2 + n2 * coupling) * z)
 
     return rhs
 
 
 def coupled_rhs(pair: ModePair, state: BeamState) -> tuple[float, float, float, float]:
     """Right-hand side (w', w'', z', z'') of the coupled two-mode system."""
-    return _two_mode_rhs(pair)(state.t, (state.w, state.w_dot, state.z, state.z_dot))
+    y = np.array([state.w, state.w_dot, state.z, state.z_dot], dtype=float)
+    return _two_mode_rhs(pair)(state.t, y)
 
 
 def energy(pair: ModePair, state: BeamState) -> float:

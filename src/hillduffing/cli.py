@@ -27,10 +27,11 @@ from .errors import BracketNotFound, DomainError
 # let argparse accept range values like "-2:6:160" that begin with a minus
 _NEGATIVE_RANGE = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?(:\S*)?$")
 
+# criteria-map's tests, in closed form for the squared-Duffing coefficients
 _CRITERIA = {
-    "li-zhang": criteria.li_zhang,
-    "zhukovskii": criteria.zhukovskii,
-    "burdina": criteria.burdina,
+    "li-zhang": criteria.SquaredDuffing.li_zhang,
+    "zhukovskii": criteria.SquaredDuffing.zhukovskii,
+    "burdina": criteria.SquaredDuffing.burdina,
 }
 
 
@@ -94,13 +95,13 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 def _criteria_cell(task) -> tuple[str, ...]:
     plane, x, y, names = task
     try:
-        p = plane.coefficient(x, y)
+        cell = criteria.SquaredDuffing(plane, x, y)
     except DomainError:
         return tuple("I" for _ in names)
     verdicts = []
     for name in names:
         try:
-            verdicts.append("S" if _CRITERIA[name](p).guaranteed_stable else "I")
+            verdicts.append("S" if _CRITERIA[name](cell).guaranteed_stable else "I")
         except ValueError:
             verdicts.append("I")
     return tuple(verdicts)

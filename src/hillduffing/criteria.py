@@ -6,13 +6,18 @@ interval test trapping p between consecutive squared harmonics, and the
 phase-integral test comparing int sqrt(p) +- (1/2) log(max p / min p)
 with a window (l pi, (l+1) pi).  All are sufficient only: the outcome is
 either a guarantee of stability or "inconclusive", never a claim of
-instability.
+instability.  These time-domain tests are the general path.
 
-For the squared-Duffing coefficients, the phase integral reduces to the
-closed forms ``phi`` (gamma plane) and ``psi`` (omega plane), and the L^2
-quantity at gamma = 0 reduces to ``g_function``; each reduction is an
-integral over a quarter phase of the underlying oscillation and is
-evaluated by adaptive quadrature, independent of any time stepping.
+For the squared-Duffing coefficients p = c + y^2 (``SquaredDuffing``) the
+three tests have closed forms, which ``criteria-map`` uses in both planes.
+With y = delta sin a the time element is dt = sqrt(2 w) da / R(a), where
+R(a) = sqrt(2 + delta^2 + delta^2 sin^2 a) and w is the solution's
+frequency scale, so each time integral over a period becomes a smooth
+quadrature over a quarter phase, free of Jacobi functions:
+int p^2 dt = 2 sqrt(2 w) int_0^{pi/2} (c + delta^2 sin^2 a)^2 / R(a) da
+(``g_function`` is its gamma = 0 case), and int sqrt(p) dt is ``phi``
+(gamma plane) or ``psi`` (omega plane).  The interval test needs only the
+period and the exact bounds c and c + delta^2.
 """
 
 from __future__ import annotations
@@ -25,9 +30,11 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import quad
 
+from .duffing import DuffingParams, period
 from .elliptic import sigma_constant
-from .errors import DomainError
+from .errors import DomainError, require_finite
 from .hill import PeriodicCoefficient
+from .tongues import Plane
 
 # absolute target for the closed-form quadratures
 _QUAD_EPS = 1e-12
@@ -91,14 +98,25 @@ def li_zhang(p: PeriodicCoefficient) -> CriterionVerdict:
     """L^2 mean test: stable if p >= 0 and T^3 int_0^T p^2 < (64/3) sigma^4."""
     pmin, pmax = _bounds(p)
     if pmin < 0.0:
-        return CriterionVerdict(Criterion.LI_ZHANG, Outcome.INCONCLUSIVE,
-                                quantities={"min_p": pmin}, note="requires p >= 0")
+        return _needs_positive(Criterion.LI_ZHANG, pmin)
     T = p.period
     integral, err = quad(lambda t: p(t) ** 2, 0.0, T, epsabs=_QUAD_EPS,
                          epsrel=1e-11, limit=400)
-    lhs = T**3 * integral
+    return _l2_test(T**3 * integral, err * T**3)
+
+
+def _needs_positive(criterion: Criterion, pmin: float) -> CriterionVerdict:
+    """Inconclusive verdict for a minimum ``pmin`` below what ``criterion``
+    needs: p >= 0, or p > 0 for the phase-integral test."""
+    strict = criterion is Criterion.BURDINA
+    return CriterionVerdict(criterion, Outcome.INCONCLUSIVE, quantities={"min_p": pmin},
+                            note="requires p > 0" if strict else "requires p >= 0")
+
+
+def _l2_test(lhs: float, err: float) -> CriterionVerdict:
+    """Li-Zhang's bound on lhs = T^3 int_0^T p^2, with quadrature error ``err``."""
     rhs = (64.0 / 3.0) * sigma_constant() ** 4
-    margin = max(err * T**3, _MARGIN)
+    margin = max(err, _MARGIN)
     q = {"lhs": lhs, "rhs": rhs, "margin": rhs - lhs}
     if lhs < rhs - margin:
         return CriterionVerdict(Criterion.LI_ZHANG, Outcome.GUARANTEED_STABLE, quantities=q)
@@ -109,11 +127,13 @@ def li_zhang(p: PeriodicCoefficient) -> CriterionVerdict:
 def zhukovskii(p: PeriodicCoefficient) -> CriterionVerdict:
     """Harmonic interval test: stable if some l has
     l^2 pi^2 / T^2 <= p <= (l+1)^2 pi^2 / T^2 everywhere."""
-    pmin, pmax = _bounds(p)
+    return _harmonic_window(*_bounds(p), p.period)
+
+
+def _harmonic_window(pmin: float, pmax: float, T: float) -> CriterionVerdict:
+    """Zhukovskii's test on a coefficient of period T with bounds [pmin, pmax]."""
     if pmin < 0.0:
-        return CriterionVerdict(Criterion.ZHUKOVSKII, Outcome.INCONCLUSIVE,
-                                quantities={"min_p": pmin}, note="requires p >= 0")
-    T = p.period
+        return _needs_positive(Criterion.ZHUKOVSKII, pmin)
     scale = math.pi / T
     ell = int(math.floor(math.sqrt(pmin) / scale))
     q = {"min_p": pmin, "max_p": pmax,
@@ -134,8 +154,7 @@ def burdina(p: PeriodicCoefficient) -> CriterionVerdict:
                                 note="requires a unique extremum pair per period")
     pmin, pmax = _bounds(p)
     if pmin <= 0.0:
-        return CriterionVerdict(Criterion.BURDINA, Outcome.INCONCLUSIVE,
-                                quantities={"min_p": pmin}, note="requires p > 0")
+        return _needs_positive(Criterion.BURDINA, pmin)
     A, err = quad(lambda t: math.sqrt(p(t)), 0.0, p.period, epsabs=_QUAD_EPS,
                   epsrel=1e-11, limit=400)
     return _phase_window(A, 0.5 * math.log(pmax / pmin), max(err, _MARGIN))
@@ -216,23 +235,73 @@ def burdina_condition_omega(delta: float, omega: float) -> CriterionVerdict:
     return _burdina_condition(delta, omega, psi, "omega")
 
 
-def g_function(delta: float) -> float:
-    """L^2 quantity of the gamma = 0 coefficient in closed form.
+class SquaredDuffing:
+    """The chart coefficient p = c + y^2 at (delta, c) of ``plane``, with the
+    three tests in closed form.
 
-    g(delta) = 64 * (int_0^{pi/2} sin^4 a / sqrt(2/delta^2 + 1 + sin^2 a) da)
-    * (int_0^{pi/2} da / sqrt(2/delta^2 + 1 + sin^2 a))^3.  It increases
-    strictly from 0 to (64/3) sigma^4 as delta runs over (0, infinity),
-    which is what guarantees stability on the whole gamma = 0 axis.
+    y is the Duffing solution of amplitude delta: unscaled (w = 1) in the
+    gamma plane, omega-scaled (w = c = omega) in the omega plane.  p has
+    period T = ``duffing.period`` / 2 and exact bounds c and c + delta^2.
+    Each method is the time-domain test of the same name on
+    ``plane.coefficient(delta, c)``, with its time integral taken over a
+    quarter phase instead (see the module docstring).  The constructor
+    raises the ``DomainError`` that ``plane.coefficient`` raises.
+    """
+
+    def __init__(self, plane: Plane, delta: float, offset: float) -> None:
+        require_finite(**{plane.value: offset})
+        self.plane = plane
+        self.offset = float(offset)
+        self.scale = self.offset if plane is Plane.OMEGA else 1.0
+        self.period = period(DuffingParams(delta, self.scale)) / 2.0
+        self.delta = abs(float(delta))
+
+    def l2_quantity(self) -> tuple[float, float]:
+        """T^3 int_0^T p^2 dt and its quadrature error.
+
+        int_0^T p^2 dt = 2 sqrt(2 w) int_0^{pi/2} (c + delta^2 sin^2 a)^2 / R(a) da,
+        evaluated with c, delta^2 and R^2 divided by s = 1 + delta^2 and the
+        factor s^(3/2) moved onto T^3, so no intermediate overflows while
+        2 (1 + delta^2) is finite.
+        """
+        s = 1.0 + self.delta * self.delta
+        c, d, e = self.offset / s, self.delta * self.delta / s, 2.0 / s
+
+        def integrand(a: float) -> float:
+            s2 = math.sin(a) ** 2
+            q = c + d * s2
+            return q * q / math.sqrt(e + d + d * s2)
+
+        val, err = quad(integrand, 0.0, math.pi / 2.0, epsabs=_QUAD_EPS, epsrel=1e-12,
+                        limit=400)
+        t = self.period * math.sqrt(s)
+        factor = 2.0 * math.sqrt(2.0 * self.scale) * t * t * t
+        return factor * val, factor * err
+
+    def li_zhang(self) -> CriterionVerdict:
+        if self.offset < 0.0:
+            return _needs_positive(Criterion.LI_ZHANG, self.offset)
+        return _l2_test(*self.l2_quantity())
+
+    def zhukovskii(self) -> CriterionVerdict:
+        return _harmonic_window(self.offset, self.offset + self.delta * self.delta, self.period)
+
+    def burdina(self) -> CriterionVerdict:
+        if self.offset <= 0.0:
+            return _needs_positive(Criterion.BURDINA, self.offset)
+        phase = phi if self.plane is Plane.GAMMA else psi
+        return _burdina_condition(self.delta, self.offset, phase, self.plane.value)
+
+
+def g_function(delta: float) -> float:
+    """L^2 quantity T^3 int_0^T p^2 of the gamma = 0 coefficient in closed form.
+
+    Equivalently g(delta) = 64 * (int_0^{pi/2} sin^4 a / sqrt(2/delta^2 + 1
+    + sin^2 a) da) * (int_0^{pi/2} da / sqrt(2/delta^2 + 1 + sin^2 a))^3.  It
+    increases strictly from 0 to (64/3) sigma^4 as delta runs over (0,
+    infinity), which is what guarantees stability on the whole gamma = 0 axis.
+    delta must be positive with 2 (1 + delta^2) finite, as in ``DuffingParams``.
     """
     if not (delta > 0.0):
         raise DomainError(f"need delta > 0, got {delta!r}")
-    c = 2.0 / (delta * delta)
-
-    def root(a: float) -> float:
-        return math.sqrt(c + 1.0 + math.sin(a) ** 2)
-
-    i1, _ = quad(lambda a: math.sin(a) ** 4 / root(a), 0.0, math.pi / 2.0,
-                 epsabs=_QUAD_EPS, epsrel=1e-12, limit=400)
-    i2, _ = quad(lambda a: 1.0 / root(a), 0.0, math.pi / 2.0,
-                 epsabs=_QUAD_EPS, epsrel=1e-12, limit=400)
-    return 64.0 * i1 * i2**3
+    return SquaredDuffing(Plane.GAMMA, delta, 0.0).l2_quantity()[0]

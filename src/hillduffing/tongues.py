@@ -239,6 +239,8 @@ def stability_strip_gamma(delta: float, gamma: float) -> StripVerdict:
 def asymptotic_tongue_bounds(plane: Plane, ell: int, delta: float) -> tuple[float, float]:
     """Small-amplitude parabolic bounds of tongue ``ell`` (valid up to
     O(delta^4) as delta -> 0; no hard cutoff is enforced)."""
+    if ell % 1 != 0:  # also true for nan and inf
+        raise DomainError(f"tongue index ell must be an integer, got {ell!r}")
     if ell < 2:
         raise DomainError(f"parabolic bounds exist for ell >= 2 only, got {ell}")
     require_finite(delta=delta)
@@ -315,6 +317,10 @@ def trace_level_bracket(
         threshold = 2.0 - DEFAULT_TOL_BOUNDARY
     if not 0.0 < threshold <= 2.0:
         raise DomainError(f"threshold must lie in (0, 2], got {threshold!r}")
+    if not 0.0 < bisect_tol < math.inf:
+        raise DomainError(f"bisect_tol must be finite and positive, got {bisect_tol!r}")
+    if not samples >= 2:
+        raise DomainError(f"samples must be at least 2, got {samples!r}")
 
     y_floor = 1e-9 if plane is Plane.OMEGA else -math.inf
 

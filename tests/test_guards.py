@@ -121,3 +121,33 @@ def test_paper_figures_excludes_tol_boundary(tmp_path, capsys):
     assert exc.value.code == 2
     assert "not allowed with argument" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+class TestBracketArguments:
+    @pytest.mark.parametrize("bisect_tol", [math.nan, 0.0, -1e-6, math.inf])
+    def test_bad_bisect_tol_is_named(self, bisect_tol, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("integrated before checking bisect_tol")
+
+        monkeypatch.setattr(tongues, "lane_traces", forbidden)
+        with pytest.raises(DomainError, match="bisect_tol"):
+            trace_level_bracket(Plane.GAMMA, 2, 0.2, bisect_tol=bisect_tol)
+
+    @pytest.mark.parametrize("samples", [-1, 0, 1])
+    def test_too_few_samples_is_named(self, samples, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("integrated before checking samples")
+
+        monkeypatch.setattr(tongues, "lane_traces", forbidden)
+        with pytest.raises(DomainError, match="samples"):
+            trace_level_bracket(Plane.GAMMA, 1, 1.0, samples=samples)
+
+    @pytest.mark.parametrize("plane", list(Plane))
+    @pytest.mark.parametrize("ell", [2.5, math.nan, math.inf])
+    def test_non_integer_tongue_is_named(self, plane, ell):
+        with pytest.raises(DomainError, match="ell"):
+            asymptotic_tongue_bounds(plane, ell, 0.1)
+
+    def test_integral_tongue_index_still_accepted(self):
+        assert asymptotic_tongue_bounds(Plane.GAMMA, np.int64(2), 0.1) == \
+            asymptotic_tongue_bounds(Plane.GAMMA, 2, 0.1)
