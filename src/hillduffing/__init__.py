@@ -43,6 +43,7 @@ from .hill import (
     ExactLine,
     MonodromyReport,
     PeriodicCoefficient,
+    Plane,
     Stability,
     exact_solution_residual,
     mathieu_coefficient,
@@ -52,7 +53,6 @@ from .hill import (
 )
 from .tongues import (
     AsymptoticClass,
-    Plane,
     StabilityGrid,
     StripVerdict,
     TongueBoundarySample,
@@ -76,10 +76,10 @@ __all__ = [
     "DuffingParams", "duffing_solution", "duffing_velocity", "period",
     "JacobiTriple", "complete_K", "jacobi", "sigma_constant",
     "BracketNotFound", "DomainError", "IntegrationFailure",
-    "ExactLine", "MonodromyReport", "PeriodicCoefficient", "Stability",
+    "ExactLine", "MonodromyReport", "PeriodicCoefficient", "Plane", "Stability",
     "exact_solution_residual", "mathieu_coefficient", "monodromy",
     "omega_coefficient", "squared_duffing_coefficient",
-    "AsymptoticClass", "Plane", "StabilityGrid", "StripVerdict",
+    "AsymptoticClass", "StabilityGrid", "StripVerdict",
     "TongueBoundarySample", "asymptotic_classification",
     "asymptotic_tongue_bounds", "crossing_count", "first_tongue_gamma",
     "recount_crossings", "scan", "stability_strip_gamma", "trace_level_bracket",

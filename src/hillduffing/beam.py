@@ -23,10 +23,10 @@ import numpy as np
 
 from .duffing import DuffingParams, period
 from .errors import DomainError
-from .hill import DEFAULT_TOL, DEFAULT_TOL_BOUNDARY, Stability, classify_trace
+from .hill import DEFAULT_TOL, DEFAULT_TOL_BOUNDARY, Plane, Stability, classify_trace
 from .hill import monodromy  # noqa: F401  (bench/spans.py patches beam.monodromy)
 from .integrate import solve_sampled
-from .tongues import Plane, trace_at
+from .tongues import trace_at
 
 # |z| must exceed this multiple of its initial amplitude to count as an
 # energy transfer; calibrated so that weakly unstable cases (saturating
@@ -42,6 +42,9 @@ class ModePair:
     n: int
 
     def __post_init__(self) -> None:
+        for name, value in (("m", self.m), ("n", self.n)):
+            if value % 1 != 0:  # also true for nan and inf
+                raise DomainError(f"mode number {name} must be an integer, got {value!r}")
         if self.m < 1 or self.n < 1:
             raise DomainError(f"mode numbers must be positive, got ({self.m}, {self.n})")
         if self.m == self.n:
@@ -151,8 +154,8 @@ def simulate(
         raise DomainError(f"horizon must be finite and positive, got {horizon!r}")
     if not 1.0 < growth_factor < math.inf:
         raise DomainError(f"growth_factor must be finite and > 1, got {growth_factor!r}")
-    if not samples >= 1:
-        raise DomainError(f"samples must be at least 1, got {samples!r}")
+    if samples % 1 != 0 or not samples >= 1:  # the first also true for nan and inf
+        raise DomainError(f"samples must be an integer of at least 1, got {samples!r}")
 
     # sample densely enough to resolve the fast mode's envelope
     fast = max(pair.m, pair.n) ** 2
@@ -166,7 +169,7 @@ def simulate(
     exceeded = np.flatnonzero(abs_z > threshold)
     onset = float(ts[exceeded[0]]) if exceeded.size else None
 
-    keep = np.linspace(0, n_internal - 1, min(samples, n_internal)).round().astype(int)
+    keep = np.linspace(0, n_internal - 1, min(int(samples), n_internal)).round().astype(int)
     trajectory = np.column_stack(
         [ts[keep], states[keep], _energy_rows(pair, states[keep])]
     )

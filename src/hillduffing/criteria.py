@@ -11,13 +11,14 @@ instability.  These time-domain tests are the general path.
 For the squared-Duffing coefficients p = c + y^2 (``SquaredDuffing``) the
 three tests have closed forms, which ``criteria-map`` uses in both planes.
 With y = delta sin a the time element is dt = sqrt(2 w) da / R(a), where
-R(a) = sqrt(2 + delta^2 + delta^2 sin^2 a) and w is the solution's
-frequency scale, so each time integral over a period becomes a smooth
+R(a) = sqrt(2 + delta^2 + delta^2 sin^2 a) and w = ``Plane.scale(c)`` is the
+solution's frequency scale (``hill.Plane``: 1 in the gamma plane, omega in
+the omega plane), so each time integral over a period becomes a smooth
 quadrature over a quarter phase, free of Jacobi functions:
 int p^2 dt = 2 sqrt(2 w) int_0^{pi/2} (c + delta^2 sin^2 a)^2 / R(a) da
-(``g_function`` is its gamma = 0 case), and int sqrt(p) dt is ``phi``
-(gamma plane) or ``psi`` (omega plane).  The interval test needs only the
-period and the exact bounds c and c + delta^2.
+(``g_function`` is its gamma = 0 case), and int sqrt(p) dt = sqrt(w) ``phi``
+(``psi`` in the omega plane).  The interval test needs only the period and
+the exact bounds c and c + delta^2.
 """
 
 from __future__ import annotations
@@ -25,16 +26,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
 
-from .duffing import DuffingParams, period
+from .duffing import period, valid_amplitude
 from .elliptic import sigma_constant
-from .errors import DomainError, require_finite
-from .hill import PeriodicCoefficient
-from .tongues import Plane
+from .errors import DomainError
+from .hill import PeriodicCoefficient, Plane
 
 # absolute target for the closed-form quadratures
 _QUAD_EPS = 1e-12
@@ -99,10 +98,14 @@ def li_zhang(p: PeriodicCoefficient) -> CriterionVerdict:
     pmin, pmax = _bounds(p)
     if pmin < 0.0:
         return _needs_positive(Criterion.LI_ZHANG, pmin)
+    # p / s with s a power of two keeps p^2 in range (a product past it is
+    # inf, not an OverflowError); the scaling is exact, so below overflow
+    # the quadrature is the one on p^2 itself
+    s = math.ldexp(1.0, max(math.frexp(pmax)[1] - 1, 0))
     T = p.period
-    integral, err = quad(lambda t: p(t) ** 2, 0.0, T, epsabs=_QUAD_EPS,
+    integral, err = quad(lambda t: (p(t) / s) ** 2, 0.0, T, epsabs=_QUAD_EPS / s / s,
                          epsrel=1e-11, limit=400)
-    return _l2_test(T**3 * integral, err * T**3)
+    return _l2_test(T**3 * integral * s * s, T**3 * err * s * s)
 
 
 def _needs_positive(criterion: Criterion, pmin: float) -> CriterionVerdict:
@@ -181,10 +184,12 @@ def phi(delta: float, gamma: float) -> float:
     phi(delta, gamma) = 2 sqrt(2) int_0^{pi/2}
     sqrt((gamma + delta^2 sin^2 t) / (2 + delta^2 + delta^2 sin^2 t)) dt,
     which equals the time-domain integral of sqrt(gamma + y^2) over half a
-    Duffing period.  gamma = 0 is allowed (integrable endpoint).
+    Duffing period.  gamma = 0 is allowed (integrable endpoint).  delta
+    must have 2 (1 + delta^2) finite, as in ``DuffingParams``.
     """
-    if not 0.0 < delta < math.inf or not 0.0 <= gamma < math.inf:
-        raise DomainError(f"need finite delta > 0 and gamma >= 0, got ({delta!r}, {gamma!r})")
+    if not (delta > 0.0 and valid_amplitude(delta)) or not 0.0 <= gamma < math.inf:
+        raise DomainError(f"need finite delta > 0 with 2 (1 + delta^2) finite and gamma >= 0, "
+                          f"got ({delta!r}, {gamma!r})")
     d2 = delta * delta
 
     def integrand(t: float) -> float:
@@ -199,61 +204,60 @@ def phi(delta: float, gamma: float) -> float:
 def psi(delta: float, omega: float) -> float:
     """Closed-form phase integral for the omega-plane coefficient.
 
-    psi(delta, omega) = sqrt(omega) * phi(delta, omega); it decreases from
-    pi * omega at delta = 0 to pi sqrt(omega / 2) as delta -> infinity
-    (strictly, for omega >= 1).
+    psi(delta, omega) = sqrt(omega) * phi(delta, omega), the phase integral
+    at frequency scale w = omega; it decreases from pi * omega at delta = 0
+    to pi sqrt(omega / 2) as delta -> infinity (strictly, for omega >= 1).
     """
-    if not 0.0 < delta < math.inf or not 0.0 < omega < math.inf:
-        raise DomainError(f"need finite delta > 0 and omega > 0, got ({delta!r}, {omega!r})")
+    if not (delta > 0.0 and valid_amplitude(delta)) or not 0.0 < omega < math.inf:
+        raise DomainError(f"need finite delta > 0 with 2 (1 + delta^2) finite and omega > 0, "
+                          f"got ({delta!r}, {omega!r})")
     return math.sqrt(omega) * phi(delta, omega)
 
 
-def _burdina_condition(delta: float, c: float, phase: Callable[[float, float], float],
-                       name: str) -> CriterionVerdict:
-    """Closed-form phase-integral condition for the offset ``c`` (named
-    ``name``), with ``phase(delta, c)`` the plane's phase integral."""
-    if not 0.0 < delta < math.inf or not 0.0 < c < math.inf:
-        raise DomainError(f"need finite delta > 0 and {name} > 0, got ({delta!r}, {c!r})")
+def _burdina_condition(plane: Plane, delta: float, c: float) -> CriterionVerdict:
+    """Closed-form phase-integral condition at the point (delta, c) of ``plane``.
+
+    The window test with A = sqrt(w) phi(delta, c), w = ``plane.scale(c)``,
+    and B = (1/2) log(1 + delta^2/c); by the change of variables behind
+    ``phi`` this is exactly the time-domain phase-integral test.
+    """
+    if not (delta > 0.0 and valid_amplitude(delta)) or not 0.0 < c < math.inf:
+        raise DomainError(f"need finite delta > 0 with 2 (1 + delta^2) finite and "
+                          f"{plane.value} > 0, got ({delta!r}, {c!r})")
     log_ratio = math.log1p(delta * delta / c)
     # log_ratio < 2 min(A - l pi, (l + 1) pi - A) - _MARGIN, in the window test's form
-    return _phase_window(phase(delta, c), 0.5 * log_ratio, 0.5 * _MARGIN,
-                         delta=delta, **{name: c}, log_ratio=log_ratio)
+    return _phase_window(math.sqrt(plane.scale(c)) * phi(delta, c), 0.5 * log_ratio,
+                         0.5 * _MARGIN, delta=delta, **{plane.value: c}, log_ratio=log_ratio)
 
 
 def burdina_condition_gamma(delta: float, gamma: float) -> CriterionVerdict:
-    """Phase-integral condition in closed form for the gamma plane.
-
-    The window test with A = phi and B = (1/2) log(1 + delta^2/gamma); by
-    the change of variables behind ``phi`` this is exactly the time-domain
-    phase-integral test.
-    """
-    return _burdina_condition(delta, gamma, phi, "gamma")
+    """Phase-integral condition in closed form for the gamma plane."""
+    return _burdina_condition(Plane.GAMMA, delta, gamma)
 
 
 def burdina_condition_omega(delta: float, omega: float) -> CriterionVerdict:
     """Phase-integral condition in closed form for the omega plane."""
-    return _burdina_condition(delta, omega, psi, "omega")
+    return _burdina_condition(Plane.OMEGA, delta, omega)
 
 
 class SquaredDuffing:
     """The chart coefficient p = c + y^2 at (delta, c) of ``plane``, with the
     three tests in closed form.
 
-    y is the Duffing solution of amplitude delta: unscaled (w = 1) in the
-    gamma plane, omega-scaled (w = c = omega) in the omega plane.  p has
-    period T = ``duffing.period`` / 2 and exact bounds c and c + delta^2.
-    Each method is the time-domain test of the same name on
-    ``plane.coefficient(delta, c)``, with its time integral taken over a
-    quarter phase instead (see the module docstring).  The constructor
-    raises the ``DomainError`` that ``plane.coefficient`` raises.
+    y is the Duffing solution of amplitude delta at frequency scale
+    w = ``plane.scale(c)``.  p has period T = ``duffing.period`` / 2 and
+    exact bounds c and c + delta^2.  Each method is the time-domain test of
+    the same name on ``plane.coefficient(delta, c)``, with its time integral
+    taken over a quarter phase instead (see the module docstring).  The
+    constructor raises the ``DomainError`` of ``plane.params``.
     """
 
     def __init__(self, plane: Plane, delta: float, offset: float) -> None:
-        require_finite(**{plane.value: offset})
+        params = plane.params(delta, offset)
         self.plane = plane
         self.offset = float(offset)
-        self.scale = self.offset if plane is Plane.OMEGA else 1.0
-        self.period = period(DuffingParams(delta, self.scale)) / 2.0
+        self.scale = plane.scale(self.offset)
+        self.period = period(params) / 2.0
         self.delta = abs(float(delta))
 
     def l2_quantity(self) -> tuple[float, float]:
@@ -289,8 +293,7 @@ class SquaredDuffing:
     def burdina(self) -> CriterionVerdict:
         if self.offset <= 0.0:
             return _needs_positive(Criterion.BURDINA, self.offset)
-        phase = phi if self.plane is Plane.GAMMA else psi
-        return _burdina_condition(self.delta, self.offset, phase, self.plane.value)
+        return _burdina_condition(self.plane, self.delta, self.offset)
 
 
 def g_function(delta: float) -> float:

@@ -8,6 +8,10 @@ with an adaptive embedded Runge-Kutta pair the monodromy matrix of any one
 of them (the reference path) and the traces of a batch of squared-Duffing
 points (the path of every squared-Duffing trace in the library), and
 verifies the three closed-form resonant solutions built from Jacobi functions.
+
+It is also the home of the chart plane model (``Plane``): the gamma and
+omega planes are one equation xi'' + (y + Theta^2) xi = 0, with Theta the
+Duffing solution at frequency scale w = 1 or w = omega (``Plane.scale``).
 """
 
 from __future__ import annotations
@@ -77,31 +81,60 @@ class MonodromyReport:
     tol: float = field(default=DEFAULT_TOL, compare=False)
 
 
-def _duffing_coefficient(params: DuffingParams, offset: float, label: str) -> PeriodicCoefficient:
-    """Coefficient p(t) = offset + delta^2 cn^2(rate t, k) of the Duffing
-    solution ``params``.
+class Plane(enum.Enum):
+    """Which second parameter y spans the vertical axis of a stability chart.
 
-    The square halves the period: p has least period T/2, minimum
-    ``offset`` (the solution vanishes at quarter period) and maximum
-    offset + delta^2, each attained once per period.
+    Both planes hold xi'' + (y + Theta(t)^2) xi = 0 with Theta the Duffing
+    solution of amplitude delta at frequency scale w = ``scale(y)``: 1 in
+    the gamma plane, y = omega (the beam's n^2/m^2) in the omega plane.
     """
-    c = float(offset)
-    rate = params.argument_rate
-    k = params.modulus
-    d2 = float(params.delta) * float(params.delta)
 
-    def p(t: float) -> float:
-        cn = elliptic.jacobi(rate * t, k).cn
-        return c + d2 * cn * cn
+    GAMMA = "gamma"
+    OMEGA = "omega"
 
-    return PeriodicCoefficient(
-        func=p,
-        period=period(params) / 2.0,
-        analytic_min=c,
-        analytic_max=c + d2,
-        single_extremum_pair=True,
-        label=label,
-    )
+    def scale(self, y):
+        """Frequency scale w of the Duffing solution at ``y``: 1.0, or ``y`` itself
+        in the omega plane (an array y broadcasts against either)."""
+        return y if self is Plane.OMEGA else 1.0
+
+    def params(self, delta: float, y: float) -> DuffingParams:
+        """The Duffing solution ``DuffingParams(delta, scale(y))`` behind the
+        point (delta, y); a ``DomainError`` names a bad delta, y or omega."""
+        require_finite(**{self.value: y})
+        return DuffingParams(delta, self.scale(y))
+
+    def coefficient(self, delta: float, y: float) -> PeriodicCoefficient:
+        """Hill coefficient p(t) = y + delta^2 cn^2(rate t, k) at (delta, y): the
+        square halves the period to T/2, with minimum y and maximum
+        y + delta^2 each attained once per period."""
+        params = self.params(delta, y)
+        c = float(y)
+        rate = params.argument_rate
+        k = params.modulus
+        d2 = float(params.delta) * float(params.delta)
+
+        def p(t: float) -> float:
+            cn = elliptic.jacobi(rate * t, k).cn
+            return c + d2 * cn * cn
+
+        return PeriodicCoefficient(
+            func=p,
+            period=period(params) / 2.0,
+            analytic_min=c,
+            analytic_max=c + d2,
+            single_extremum_pair=True,
+            label=f"{self.value}_plane(delta={delta}, {self.value}={y})",
+        )
+
+    def lane_pair(self, ys) -> tuple[np.ndarray, np.ndarray]:
+        """(a, b) = (w y, w), NaN where w <= 0.  After the time rescaling
+        s = t / sqrt(w), which leaves the monodromy trace unchanged, the
+        coefficient at each (delta, y) of ``ys`` is a + b c(s), with
+        c(s) = delta^2 cn^2(sqrt(1 + delta^2) s, k)."""
+        ys = np.asarray(ys, dtype=float)
+        w = np.broadcast_to(self.scale(ys), ys.shape)
+        w = np.where(w > 0.0, w, math.nan)
+        return w * ys, w
 
 
 def squared_duffing_coefficient(delta: float, gamma: float) -> PeriodicCoefficient:
@@ -110,9 +143,7 @@ def squared_duffing_coefficient(delta: float, gamma: float) -> PeriodicCoefficie
     Period T(delta)/2, bounds [gamma, gamma + delta^2]; all criteria are
     applied with this halved period.
     """
-    require_finite(gamma=gamma)
-    return _duffing_coefficient(DuffingParams(delta), gamma,
-                                f"squared_duffing(delta={delta}, gamma={gamma})")
+    return Plane.GAMMA.coefficient(delta, gamma)
 
 
 def omega_coefficient(delta: float, omega: float) -> PeriodicCoefficient:
@@ -122,8 +153,7 @@ def omega_coefficient(delta: float, omega: float) -> PeriodicCoefficient:
     omega = 1.  Period is T_omega(delta)/2, bounds are [omega,
     omega + delta^2].
     """
-    return _duffing_coefficient(DuffingParams(delta, omega), omega,
-                                f"omega_coefficient(delta={delta}, omega={omega})")
+    return Plane.OMEGA.coefficient(delta, omega)
 
 
 def mathieu_coefficient(a: float, q: float) -> PeriodicCoefficient:

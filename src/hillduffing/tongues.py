@@ -7,6 +7,10 @@ trace scans, the exact first-tongue boundary, small-amplitude parabolic
 bounds for the higher tongues, level-set bracketing of tongue boundaries
 along one parameter line, the large-amplitude classification sets, and the
 tabulated number of resonance-line crossings per frequency ratio.
+
+The plane model ``Plane`` lives in ``hill`` and is re-exported here; only
+the per-plane tongue formulas stay in this module (seed windows, parabolic
+bounds and the bracket's positive floor on omega).
 """
 
 from __future__ import annotations
@@ -25,47 +29,17 @@ from .errors import BracketNotFound, DomainError, IntegrationFailure, require_fi
 from .hill import (
     DEFAULT_TOL,
     DEFAULT_TOL_BOUNDARY,
-    PeriodicCoefficient,
+    Plane,
     Stability,
     classify_trace,
     lane_traces,
     monodromy,  # noqa: F401  (bench/spans.py patches tongues.monodromy)
-    omega_coefficient,
-    squared_duffing_coefficient,
 )
 
 CLASS_NAMES = {0: "stable", 1: "unstable", 2: "boundary", 3: "nan"}
 _CLASS_CODE = {Stability.STABLE: 0, Stability.UNSTABLE: 1, Stability.BOUNDARY: 2}
 FAILED_CODE = 3
 _WALK_CHUNK = 8  # outward-walk candidates per lane batch
-
-
-class Plane(enum.Enum):
-    """Which second parameter spans the vertical axis of a stability chart."""
-
-    GAMMA = "gamma"
-    OMEGA = "omega"
-
-    def coefficient(self, delta: float, y: float) -> PeriodicCoefficient:
-        """Hill coefficient at the point (delta, y) of this plane."""
-        if self is Plane.GAMMA:
-            return squared_duffing_coefficient(delta, y)
-        return omega_coefficient(delta, y)
-
-    def lane_pair(self, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(a, b) such that a + b c(s), with c(s) = delta^2 cn^2(sqrt(1 +
-        delta^2) s, k), is the coefficient at each (delta, y) of ``ys``.
-
-        The gamma plane is (gamma, 1).  The omega plane is (omega^2, omega)
-        after the time rescaling s = t / sqrt(omega), which leaves the
-        monodromy trace unchanged.  NaN marks a y with no coefficient
-        (omega <= 0).
-        """
-        ys = np.asarray(ys, dtype=float)
-        if self is Plane.GAMMA:
-            return ys, np.ones_like(ys)
-        omega = np.where(ys > 0.0, ys, math.nan)
-        return omega * omega, omega
 
 
 class StripVerdict(enum.Enum):
@@ -96,8 +70,8 @@ def axis_values(lo: float, hi: float, count: int) -> np.ndarray:
 def trace_at(plane: Plane, delta: float, y: float, tol: float = DEFAULT_TOL) -> float:
     """Monodromy trace at one point of the chosen parameter plane: a one-lane
     ``hill.lane_traces`` run, within the integrator tolerance of ``monodromy``.
-    A point with no coefficient (``Plane.coefficient``) raises ``DomainError``."""
-    plane.coefficient(delta, y)  # names a bad delta, y or omega
+    A point with no coefficient raises the ``DomainError`` of ``Plane.params``."""
+    plane.params(delta, y)
     return float(_line(plane, delta, [y], tol)[0])
 
 

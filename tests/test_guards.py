@@ -6,9 +6,20 @@ import signal
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from hillduffing import tongues
+from hillduffing.beam import ModePair, simulate
 from hillduffing.cli import main
+from hillduffing.criteria import (
+    Outcome,
+    SquaredDuffing,
+    burdina_condition_gamma,
+    burdina_condition_omega,
+    li_zhang,
+    phi,
+    psi,
+)
 from hillduffing.duffing import DuffingParams, valid_amplitude
 from hillduffing.errors import DomainError, IntegrationFailure
 from hillduffing.hill import (
@@ -16,6 +27,7 @@ from hillduffing.hill import (
     classify_trace,
     mathieu_coefficient,
     monodromy,
+    squared_duffing_coefficient,
 )
 from hillduffing.integrate import solve_final, solve_lanes
 from hillduffing.tongues import (
@@ -151,3 +163,61 @@ class TestBracketArguments:
     def test_integral_tongue_index_still_accepted(self):
         assert asymptotic_tongue_bounds(Plane.GAMMA, np.int64(2), 0.1) == \
             asymptotic_tongue_bounds(Plane.GAMMA, 2, 0.1)
+
+
+class TestTimeDomainL2Overflow:
+    """p^2 past the float range used to raise OverflowError from p(t) ** 2."""
+
+    @pytest.mark.parametrize("p", [
+        squared_duffing_coefficient(1.0, 1e200), mathieu_coefficient(1e200, 0.0),
+        mathieu_coefficient(1e200, 1e199), mathieu_coefficient(1.33e154, 0.0),
+    ], ids=["squared_duffing", "mathieu_constant", "mathieu", "mathieu_at_the_edge"])
+    def test_is_inconclusive(self, p):
+        v = li_zhang(p)
+        assert v.outcome is Outcome.INCONCLUSIVE
+        assert v.note == "L^2 bound not met"
+
+    def test_matches_the_closed_form(self):
+        assert li_zhang(squared_duffing_coefficient(1.0, 1e200)) == \
+            SquaredDuffing(Plane.GAMMA, 1.0, 1e200).li_zhang()
+
+    @pytest.mark.parametrize("p", [mathieu_coefficient(3.0, 0.5),
+                                   squared_duffing_coefficient(2.5, 2.0)])
+    def test_in_range_value_is_the_unscaled_quadrature(self, p):
+        integral, _ = quad(lambda t: p(t) ** 2, 0.0, p.period, epsabs=1e-12, epsrel=1e-11,
+                           limit=400)
+        assert li_zhang(p).quantities["lhs"] == p.period**3 * integral
+
+
+class TestClosedFormsPastTheAmplitudeRule:
+    """From delta ~ 9.5e153 on, the phase integral used to be NaN after an
+    IntegrationWarning, and the Burdina conditions then failed to convert it."""
+
+    @pytest.mark.parametrize("fn", [phi, psi, burdina_condition_gamma, burdina_condition_omega])
+    @pytest.mark.parametrize("delta", [1e154, 1e160, 1e200])
+    def test_delta_is_named(self, fn, delta):
+        assert not valid_amplitude(delta)
+        with pytest.raises(DomainError, match="finite delta"):
+            fn(delta, 2.0)
+
+    @pytest.mark.parametrize("fn", [phi, psi])
+    def test_largest_accepted_delta_has_a_phase_integral(self, fn):
+        assert math.isfinite(fn(9e153, 2.0))
+
+
+class TestBeamArguments:
+    @pytest.mark.parametrize("m, n, name", [
+        (math.nan, 2, "m"), (1.5, 2, "m"), (math.inf, 2, "m"),
+        (1, math.nan, "n"), (1, 2.5, "n"), (1, math.inf, "n"),
+    ])
+    def test_non_integer_mode_number_is_named(self, m, n, name):
+        with pytest.raises(DomainError, match=f"^mode number {name} "):
+            ModePair(m, n)
+
+    @pytest.mark.parametrize("samples", [2.5, math.nan, math.inf, 0])
+    def test_bad_samples_is_named(self, samples):
+        with pytest.raises(DomainError, match="samples"):
+            simulate(ModePair(1, 2), 1.0, horizon=1.0, samples=samples)
+
+    def test_integral_float_samples_accepted(self):
+        assert simulate(ModePair(1, 2), 1.0, horizon=1.0, samples=3.0).trajectory.shape == (3, 6)
