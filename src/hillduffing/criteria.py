@@ -133,6 +133,14 @@ def zhukovskii(p: PeriodicCoefficient) -> CriterionVerdict:
     return _harmonic_window(*_bounds(p), p.period)
 
 
+def _square(x: float) -> float:
+    """x ** 2, or inf where that overflows: every finite bound lies below it."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
+
+
 def _harmonic_window(pmin: float, pmax: float, T: float) -> CriterionVerdict:
     """Zhukovskii's test on a coefficient of period T with bounds [pmin, pmax]."""
     if pmin < 0.0:
@@ -140,8 +148,8 @@ def _harmonic_window(pmin: float, pmax: float, T: float) -> CriterionVerdict:
     scale = math.pi / T
     ell = int(math.floor(math.sqrt(pmin) / scale))
     q = {"min_p": pmin, "max_p": pmax,
-         "window_lo": (ell * scale) ** 2, "window_hi": ((ell + 1) * scale) ** 2}
-    if pmax <= ((ell + 1) * scale) ** 2:
+         "window_lo": _square(ell * scale), "window_hi": _square((ell + 1) * scale)}
+    if pmax <= q["window_hi"]:
         return CriterionVerdict(Criterion.ZHUKOVSKII, Outcome.GUARANTEED_STABLE,
                                 witness_ell=ell, quantities=q)
     return CriterionVerdict(Criterion.ZHUKOVSKII, Outcome.INCONCLUSIVE, quantities=q,

@@ -26,7 +26,7 @@ import numpy as np
 from . import elliptic
 from .duffing import DuffingParams, period, valid_amplitude
 from .errors import DomainError, require_finite
-from .integrate import DEFAULT_MAX_STEPS, solve_final, solve_lanes
+from .integrate import DEFAULT_MAX_STEPS, _check_tol, solve_final, solve_lanes
 
 DEFAULT_TOL = 1e-10
 DEFAULT_TOL_BOUNDARY = 1e-4
@@ -280,6 +280,7 @@ def lane_traces(delta, a, b, tol: float = DEFAULT_TOL,
     fails alone gets NaN.  Traces agree with ``monodromy`` within the
     integrator tolerance, not bit for bit.
     """
+    tol = _check_tol(tol)  # also when no lane is live
     delta, a, b = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (delta, a, b)))
     trace = np.full(a.shape, math.nan)
     live = np.flatnonzero(np.isfinite(a) & np.isfinite(b) & valid_amplitude(delta))

@@ -4,12 +4,11 @@ Every entry point runs the Dormand-Prince 8(5,3) method with rtol = atol
 = tol under a hard cap on accepted steps (so pathological coefficients
 cannot hang a computation), and reports step-size underflow and a
 non-finite derivative at t0 (where scipy's first step never ends) as failures.
-``solve_final`` (under ``monodromy``, the reference path) and
-``solve_lanes`` step scipy's Python ``DOP853`` in one loop, ``_march``, so
-a one-lane run reproduces ``solve_final`` bit for bit.  Lanes are
-independent systems stepped together, each with its own error norm
-(Hairer, Norsett & Wanner, *Solving ODEs I*, II.10); their failure is
-reported, not raised, so the caller can retry lanes singly.
+``solve_lanes`` steps scipy's Python ``DOP853`` over lanes, independent
+systems stepped together, each with its own error norm (Hairer, Norsett &
+Wanner, *Solving ODEs I*, II.10); their failure is reported, not raised,
+so the caller can retry lanes singly.  ``solve_final`` (under
+``monodromy``, the reference path) is one lane of it whose failure raises.
 ``solve_sampled`` runs the beam's long trajectories on the compiled DOP853
 (scipy's ``ode``), one call per sample time, so only the right-hand side
 and a step counter run in Python and every row is an integrated value.
@@ -37,23 +36,6 @@ def _check_tol(tol: float) -> float:
     return tol
 
 
-def _march(solver: DOP853, max_steps: int) -> tuple[int, str | None]:
-    """Step ``solver`` to its end.  Returns the steps taken and None, or
-    the reason the integration stopped early (a non-finite derivative at
-    t0, the step cap or underflow)."""
-    if not np.isfinite(solver.f).all():
-        return 0, f"non-finite derivative at t0={solver.t}"
-    steps = 0
-    while solver.status == "running":
-        solver.step()
-        steps += 1
-        if steps > max_steps:
-            return steps, f"step cap {max_steps} exceeded at t={solver.t}"
-        if solver.status == "failed":
-            return steps, f"step size underflow at t={solver.t}"
-    return steps, None
-
-
 def solve_final(
     rhs: Callable[[float, np.ndarray], Sequence[float]],
     t0: float,
@@ -62,16 +44,11 @@ def solve_final(
     tol: float,
     max_steps: int = DEFAULT_MAX_STEPS,
 ) -> np.ndarray:
-    """Integrate y' = rhs(t, y) from t0 to t1 and return y(t1)."""
-    tol = _check_tol(tol)
-    y0 = np.asarray(y0, dtype=float)
-    if t1 == t0:
-        return y0.copy()
-    solver = DOP853(rhs, t0, y0, t1, rtol=tol, atol=tol)
-    _, failure = _march(solver, max_steps)
-    if failure is not None:
-        raise IntegrationFailure(failure)
-    return solver.y
+    """Integrate y' = rhs(t, y) from t0 to t1 > t0 and return y(t1)."""
+    sol = solve_lanes(rhs, t0, t1, np.asarray(y0, dtype=float)[:, None], tol, max_steps)
+    if sol.failure is not None:
+        raise IntegrationFailure(sol.failure)
+    return sol.y[:, 0]
 
 
 def solve_sampled(
@@ -179,5 +156,14 @@ def solve_lanes(
         raise ValueError(f"need t1 > t0, got t0={t0!r}, t1={t1!r}")
     y0 = np.asarray(y0, dtype=float)
     solver = _LaneDOP853(rhs, t0, y0.ravel(), t1, y0.shape[0], rtol=tol, atol=tol)
-    steps, failure = _march(solver, max_steps)
+    steps, failure = 0, None
+    if not np.isfinite(solver.f).all():
+        failure = f"non-finite derivative at t0={solver.t}"
+    while failure is None and solver.status == "running":
+        solver.step()
+        steps += 1
+        if steps > max_steps:
+            failure = f"step cap {max_steps} exceeded at t={solver.t}"
+        elif solver.status == "failed":
+            failure = f"step size underflow at t={solver.t}"
     return LaneSolution(solver.y.reshape(y0.shape), steps, solver.nfev, failure)

@@ -76,8 +76,10 @@ def trace_at(plane: Plane, delta: float, y: float, tol: float = DEFAULT_TOL) -> 
 
 
 def map_cells(fn: Callable, tasks: list, workers: int) -> list:
-    """``[fn(t) for t in tasks]``, in task order, over a process pool when
-    ``workers > 1``; each worker gets about four chunks of tasks."""
+    """``[fn(t) for t in tasks]``, in task order, over a process pool of
+    ``min(workers, len(tasks))`` workers when that is more than one; each
+    worker gets about four chunks of tasks."""
+    workers = min(workers, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * workers))))

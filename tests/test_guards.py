@@ -19,12 +19,14 @@ from hillduffing.criteria import (
     li_zhang,
     phi,
     psi,
+    zhukovskii,
 )
 from hillduffing.duffing import DuffingParams, valid_amplitude
 from hillduffing.errors import DomainError, IntegrationFailure
 from hillduffing.hill import (
     PeriodicCoefficient,
     classify_trace,
+    lane_traces,
     mathieu_coefficient,
     monodromy,
     squared_duffing_coefficient,
@@ -71,6 +73,11 @@ class TestNothingHangs:
     def test_solve_final_nan_at_t0(self, alarm):
         with pytest.raises(IntegrationFailure, match="non-finite derivative at t0=0.5"):
             solve_final(lambda t, y: (math.nan,), 0.5, 1.0, (1.0,), 1e-10, max_steps=100)
+
+    @pytest.mark.parametrize("t1", [1.0, 0.5])
+    def test_solve_final_needs_t1_after_t0(self, t1):
+        with pytest.raises(ValueError, match="t1 > t0"):
+            solve_final(lambda t, y: (-y[0],), 1.0, t1, (1.0,), 1e-10)
 
     def test_solve_lanes_with_one_nan_lane(self, alarm):
         c = np.array([1.0, math.nan, 2.0])
@@ -187,6 +194,44 @@ class TestTimeDomainL2Overflow:
         integral, _ = quad(lambda t: p(t) ** 2, 0.0, p.period, epsabs=1e-12, epsrel=1e-11,
                            limit=400)
         assert li_zhang(p).quantities["lhs"] == p.period**3 * integral
+
+
+class TestHarmonicWindowOverflow:
+    """A squared harmonic (l + 1)^2 pi^2 / T^2 past the float range used to
+    raise OverflowError; it is inf, above every finite bound."""
+
+    def test_time_domain(self):
+        p = PeriodicCoefficient(lambda t: 1.0, math.pi / 1.4e154, analytic_min=1.0,
+                                analytic_max=2.0)
+        v = zhukovskii(p)
+        assert v.outcome is Outcome.GUARANTEED_STABLE
+        assert v.witness_ell == 0
+        assert v.quantities["window_hi"] == math.inf
+
+    def test_criteria_map_writes_every_cell(self, tmp_path, capsys):
+        base = tmp_path / "z"
+        assert main(["criteria-map", "--plane", "omega", "--x", "9e153:9.4e153:2",
+                     "--y", "0.001:0.002:2", "--criteria", "zhukovskii",
+                     "--out", str(base)]) == 0
+        rows = (tmp_path / "z.csv").read_text().splitlines()
+        assert rows[0] == "x,y,zhukovskii"
+        assert [r.rsplit(",", 1)[1] for r in rows[1:]] == ["S"] * 4
+
+
+class TestToleranceWithNoLiveLane:
+    """A bad tol used to pass unchecked when no lane was left to integrate."""
+
+    def test_lane_traces_raises(self):
+        with pytest.raises(DomainError, match="tol"):
+            lane_traces([0.5], [math.nan], [1.0], tol=5.0)
+
+    @pytest.mark.parametrize("ys", ["-2:-1:2", "1:2:2"])
+    def test_scan_exits_2_without_output(self, tmp_path, capsys, ys):
+        code = main(["scan", "--plane", "omega", "--x", "0.5:1:2", "--y", ys,
+                     "--tol", "1e-3", "--out", str(tmp_path / "t")])
+        assert code == 2
+        assert "tol" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestClosedFormsPastTheAmplitudeRule:

@@ -125,6 +125,25 @@ def test_one_lane_reproduces_solve_final(delta, gamma):
     assert np.array_equal(lanes.y[:, 0], final)
 
 
+@pytest.mark.parametrize("delta, gamma", [(0.5, 0), (1, -1), (0.5, 7)])
+def test_solve_final_is_one_lane_of_solve_lanes(delta, gamma):
+    """Points where scipy's own error norm used to end on other bits."""
+    p = squared_duffing_coefficient(delta, gamma)
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        pt = p.func(t)
+        return np.array([y[1], -pt * y[0], y[3], -pt * y[2]])
+
+    final = solve_final(rhs, 0.0, p.period, (1.0, 0.0, 0.0, 1.0), 1e-10)
+    final_calls = len(calls)
+    calls.clear()
+    lanes = solve_lanes(rhs, 0.0, p.period, np.array([[1.0], [0.0], [0.0], [1.0]]), 1e-10)
+    assert lanes.rhs_evals == len(calls) == final_calls
+    assert np.array_equal(lanes.y[:, 0], final)
+
+
 class _RecordingPool:
     chunksizes: list = []
 
@@ -148,6 +167,15 @@ def test_map_cells_chunks_by_task_and_worker_count(monkeypatch):
     assert tongues.map_cells(abs, list(range(-26, 0)), 2) == list(range(26, 0, -1))
     assert tongues.map_cells(abs, [-1, -2], 2) == [1, 2]
     assert _RecordingPool.chunksizes == [(26, 2, 3), (2, 2, 1)]
+
+
+def test_map_cells_asks_for_no_more_workers_than_tasks(monkeypatch):
+    monkeypatch.setattr(tongues, "ProcessPoolExecutor", _RecordingPool)
+    _RecordingPool.chunksizes = []
+    assert tongues.map_cells(abs, [-1, -2, -3], 50) == [1, 2, 3]
+    assert tongues.map_cells(abs, [-4], 8) == [4]
+    assert tongues.map_cells(abs, [], 8) == []
+    assert _RecordingPool.chunksizes == [(3, 3, 1)]
 
 
 def test_map_cells_one_worker_starts_no_pool(monkeypatch):
