@@ -146,9 +146,15 @@ def _harmonic_window(pmin: float, pmax: float, T: float) -> CriterionVerdict:
     if pmin < 0.0:
         return _needs_positive(Criterion.ZHUKOVSKII, pmin)
     scale = math.pi / T
-    ell = int(math.floor(math.sqrt(pmin) / scale))
-    q = {"min_p": pmin, "max_p": pmax,
-         "window_lo": _square(ell * scale), "window_hi": _square((ell + 1) * scale)}
+    index = math.sqrt(pmin) / scale
+    if not math.isfinite(index):
+        return CriterionVerdict(Criterion.ZHUKOVSKII, Outcome.INCONCLUSIVE,
+                                quantities={"min_p": pmin, "max_p": pmax},
+                                note="harmonic index sqrt(min p) T / pi is not finite")
+    ell = int(math.floor(index))
+    q = {"min_p": pmin, "max_p": pmax,  # ell = 0 keeps 0 * inf out of window_lo
+         "window_lo": _square(ell * scale) if ell else 0.0,
+         "window_hi": _square((ell + 1) * scale)}
     if pmax <= q["window_hi"]:
         return CriterionVerdict(Criterion.ZHUKOVSKII, Outcome.GUARANTEED_STABLE,
                                 witness_ell=ell, quantities=q)

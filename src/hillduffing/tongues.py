@@ -57,8 +57,8 @@ class AsymptoticClass(enum.Enum):
 def axis_values(lo: float, hi: float, count: int) -> np.ndarray:
     """Inclusive-endpoint axis lo + i (hi - lo) / (count - 1), reproducible
     without accumulation error."""
-    if count < 2:
-        raise DomainError(f"resolution must be >= 2 per axis, got {count}")
+    if count % 1 != 0 or not count >= 2:  # the first also true for nan and inf
+        raise DomainError(f"resolution must be an integer >= 2 per axis, got {count!r}")
     if not math.isfinite(hi - lo):
         raise DomainError(f"range must have finite endpoints and width, got ({lo}, {hi})")
     if not hi > lo:
@@ -92,6 +92,14 @@ def _refine_peak(f: Callable[[float], float], a: float, b: float,
     res = minimize_scalar(lambda y: -f(y), bounds=(a, b), method="bounded",
                           options={"xatol": xatol})
     return float(res.x), float(-res.fun)
+
+
+def _near_misses(vals: np.ndarray, level: float, band: float) -> np.ndarray:
+    """Indices of the interior local maxima of the sampled |trace| ``vals``
+    in (level - band, level], where a tongue thinner than the sampling may hide."""
+    mid = vals[1:-1]
+    return np.flatnonzero((mid > level - band) & (mid <= level)
+                          & (mid >= vals[:-2]) & (mid >= vals[2:])) + 1
 
 
 def _line(plane: Plane, delta, ys, tol: float) -> np.ndarray:
@@ -276,8 +284,9 @@ def trace_level_bracket(
 
     The window is seeded from the exact first-tongue boundary (ell = 1) or
     the parabolic bounds (ell >= 2), generously padded because those are
-    only small-amplitude asymptotics.  The window is one batch of lanes; local
-    maxima of |trace| near the threshold are refined on ``trace_at``.  A walk with
+    only small-amplitude asymptotics.  The window is one batch of lanes; with no
+    sample above the threshold, each near miss (``_near_misses`` within 0.6
+    below it) is refined once on ``trace_at``, highest first.  A walk with
     growing steps, ``_WALK_CHUNK`` candidates per batch, goes from the refined point
     to the stable side, and ``brentq`` on ``trace_at`` bisects the last step.
 
@@ -295,8 +304,9 @@ def trace_level_bracket(
         raise DomainError(f"threshold must lie in (0, 2], got {threshold!r}")
     if not 0.0 < bisect_tol < math.inf:
         raise DomainError(f"bisect_tol must be finite and positive, got {bisect_tol!r}")
-    if not samples >= 2:
-        raise DomainError(f"samples must be at least 2, got {samples!r}")
+    if samples % 1 != 0 or not samples >= 2:  # the first also true for nan and inf
+        raise DomainError(f"samples must be an integer of at least 2, got {samples!r}")
+    samples = int(samples)
 
     y_floor = 1e-9 if plane is Plane.OMEGA else -math.inf
 
@@ -305,24 +315,18 @@ def trace_level_bracket(
 
     lo, hi = _seed_window(plane, ell, delta)
     lo = max(lo, y_floor)
-    peak_y = peak_val = None
     for _ in range(3):
         ys = np.linspace(lo, hi, samples)
         vals = np.abs(_line(plane, delta, ys, integrator_tol))
-        order = np.argsort(vals)[::-1]
-        for idx in order[:8]:
-            if vals[idx] <= threshold - 0.6:
-                break
-            if vals[idx] > threshold:
-                peak_y = float(ys[idx])
-                peak_val = abs_trace(peak_y)
-                break
-            # near miss: refine the local maximum before giving up on it
-            y, val = _refine_peak(abs_trace, ys[max(idx - 1, 0)],
-                                  ys[min(idx + 1, samples - 1)], 1e-9)
-            if val > threshold:
-                peak_y, peak_val = y, val
-                break
+        top = int(np.argmax(vals))
+        if vals[top] > threshold:
+            peak_y = float(ys[top])
+            peak_val = abs_trace(peak_y)
+            break
+        near = _near_misses(vals, threshold, 0.6)
+        refined = (_refine_peak(abs_trace, ys[i - 1], ys[i + 1], 1e-9)
+                   for i in near[np.argsort(-vals[near], kind="stable")])
+        peak_y, peak_val = next((p for p in refined if p[1] > threshold), (None, None))
         if peak_y is not None:
             break
         width = hi - lo
@@ -427,15 +431,14 @@ def recount_crossings(
     mark unstable runs directly: from the stable start near delta = 0,
     every switch between stable and unstable cells is one crossing, so a
     run contributes two, or one when it is still open at ``delta_max``.
-    Tongues thinner than the grid leave a near-miss signature (a local
-    maximum of |trace| within ``near_band`` of 2); each such maximum is
-    refined by bounded maximisation and counts as a crossing pair when the
-    refined trace genuinely exceeds 2.
+    A tongue thinner than the grid leaves a near miss (``_near_misses``
+    within ``near_band`` below 2, as in ``trace_level_bracket``); each is
+    refined once and counts as a crossing pair if its trace exceeds 2.
 
-    The default ``delta_max = 6`` undercounts the table: it gives 2 / 6 / 5 / 6
-    where ``crossing_count`` gives 3 / 6 / 8 / 9 at omega = 2.5 / 4.5 / 5.5 / 6.5,
-    and both 6s rest on near misses within 2e-13 of |trace| = 2, inside the
-    integration error; a longer sweep does not help (ROADMAP item 2).
+    At omega = 2.5 / 4.5 / 5.5 / 6.5 ``crossing_count`` gives 3 / 6 / 8 / 9,
+    ``delta_max`` 6 gives 2 / 6 / 5 / 6 and 12 gives 3 / 6 / 6 / 7; both 6s at
+    4.5 rest on near misses within 2e-13 of |trace| = 2, inside the
+    integration error.  The exact count is ROADMAP item 1.
     """
     omega = float(omega)
     if not 0.0 < omega < math.inf:
@@ -452,10 +455,6 @@ def recount_crossings(
 
     deltas = np.arange(coarse_step, delta_max + 0.5 * coarse_step, coarse_step)
     abstr = np.abs(_line(Plane.OMEGA, deltas, omega, integrator_tol))
-    unstable = abstr > 2.0
-    mid = abstr[1:-1]
-    near = ~(unstable[:-2] | unstable[1:-1] | unstable[2:]) & (mid > 2.0 - near_band) \
-        & (mid >= abstr[:-2]) & (mid >= abstr[2:])
     extra = sum(_refine_peak(abs_trace, deltas[i - 1], deltas[i + 1], 1e-8)[1] > 2.0
-                for i in np.flatnonzero(near) + 1)
-    return int(np.count_nonzero(np.diff(unstable, prepend=False))) + 2 * extra
+                for i in _near_misses(abstr, 2.0, near_band))
+    return int(np.count_nonzero(np.diff(abstr > 2.0, prepend=False))) + 2 * extra

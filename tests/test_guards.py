@@ -266,3 +266,60 @@ class TestBeamArguments:
 
     def test_integral_float_samples_accepted(self):
         assert simulate(ModePair(1, 2), 1.0, horizon=1.0, samples=3.0).trajectory.shape == (3, 6)
+
+
+class TestHarmonicIndexNotFinite:
+    """sqrt(min p) T / pi past the float range used to raise OverflowError,
+    and a period so short that pi / T is inf gave a NaN window_lo."""
+
+    def test_index_overflow_is_inconclusive(self):
+        p = PeriodicCoefficient(lambda t: 1e300, 1e300, analytic_min=1e300,
+                                analytic_max=1e300)
+        v = zhukovskii(p)
+        assert v.outcome is Outcome.INCONCLUSIVE
+        assert "not finite" in v.note
+        assert v.quantities == {"min_p": 1e300, "max_p": 1e300}
+
+    def test_subnormal_period_window_starts_at_zero(self):
+        p = PeriodicCoefficient(lambda t: 1.5, 1e-320, analytic_min=1.0, analytic_max=2.0)
+        v = zhukovskii(p)
+        assert v.outcome is Outcome.GUARANTEED_STABLE
+        assert v.witness_ell == 0
+        assert v.quantities["window_lo"] == 0.0
+        assert v.quantities["window_hi"] == math.inf
+
+
+class TestFractionalCounts:
+    """A count that is not an integer used to build a grid past the range
+    end, or fail inside numpy with a bare TypeError."""
+
+    @pytest.mark.parametrize("count", [2.5, math.inf, math.nan])
+    def test_axis_values_rejects(self, count):
+        with pytest.raises(DomainError, match="resolution"):
+            tongues.axis_values(0.0, 1.0, count)
+
+    def test_axis_values_takes_integral_float(self):
+        assert np.array_equal(tongues.axis_values(0.0, 1.0, 3.0),
+                              tongues.axis_values(0.0, 1.0, 3))
+
+    @pytest.mark.parametrize("resolution", [(2.5, 2), (2, math.inf)])
+    def test_scan_rejects_before_integrating(self, resolution, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("integrated before checking the resolution")
+
+        monkeypatch.setattr(tongues, "lane_traces", forbidden)
+        with pytest.raises(DomainError, match="resolution"):
+            tongues.scan(Plane.GAMMA, (0.5, 1.0), (0.0, 1.0), resolution)
+
+    @pytest.mark.parametrize("samples", [2.5, math.inf, math.nan])
+    def test_bracket_samples_rejected(self, samples, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("integrated before checking samples")
+
+        monkeypatch.setattr(tongues, "lane_traces", forbidden)
+        with pytest.raises(DomainError, match="samples"):
+            trace_level_bracket(Plane.GAMMA, 2, 0.5, samples=samples)
+
+    def test_bracket_takes_integral_float_samples(self):
+        want = trace_level_bracket(Plane.GAMMA, 2, 0.5, threshold=2.0)
+        assert trace_level_bracket(Plane.GAMMA, 2, 0.5, threshold=2.0, samples=257.0) == want
