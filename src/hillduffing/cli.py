@@ -45,10 +45,17 @@ def _parse_range(text: str) -> tuple[float, float, int]:
 
 
 def _workers(args: argparse.Namespace) -> int:
+    """``HILLDUFFING_WORKERS`` when set, else ``--workers``; ``map_cells``
+    rejects a flag value below 1."""
     env = os.environ.get("HILLDUFFING_WORKERS")
-    n = int(env) if env else args.workers
+    if not env:
+        return args.workers
+    try:
+        n = int(env)
+    except ValueError:
+        n = 0
     if n < 1:
-        raise DomainError(f"workers must be >= 1, got {n}")
+        raise DomainError(f"HILLDUFFING_WORKERS must be an integer >= 1, got {env!r}")
     return n
 
 
@@ -158,7 +165,8 @@ def _cmd_beam(args: argparse.Namespace) -> int:
         tol=args.tol, growth_factor=args.growth_factor,
     )
     if args.out:
-        rows = (",".join(f"{v:.17g}" for v in row) for row in result.trajectory)
+        row = ",".join(["%.17g"] * result.trajectory.shape[1])
+        rows = (row % tuple(values.tolist()) for values in result.trajectory)
         _write_text(args.out, itertools.chain(["t,w,w_dot,z,z_dot,energy"], rows))
         print(f"wrote {args.out} ({result.trajectory.shape[0]} rows)")
     onset = "none" if result.onset_time is None else f"{result.onset_time:.6g}"

@@ -40,6 +40,7 @@ CLASS_NAMES = {0: "stable", 1: "unstable", 2: "boundary", 3: "nan"}
 _CLASS_CODE = {Stability.STABLE: 0, Stability.UNSTABLE: 1, Stability.BOUNDARY: 2}
 FAILED_CODE = 3
 _WALK_CHUNK = 8  # outward-walk candidates per lane batch
+_BLOCK_LANES = 2048  # about this many cells per scan task, in whole columns
 
 
 class StripVerdict(enum.Enum):
@@ -77,9 +78,13 @@ def trace_at(plane: Plane, delta: float, y: float, tol: float = DEFAULT_TOL) -> 
 
 def map_cells(fn: Callable, tasks: list, workers: int) -> list:
     """``[fn(t) for t in tasks]``, in task order, over a process pool of
-    ``min(workers, len(tasks))`` workers when that is more than one; each
-    worker gets about four chunks of tasks."""
-    workers = min(workers, len(tasks))
+    ``min(workers, len(tasks))`` workers when that is more than one, so a
+    single task never starts a pool; each worker gets about four chunks of
+    tasks.  A ``workers`` that is not an integer >= 1 raises a ``DomainError``
+    whatever the number of tasks."""
+    if workers % 1 != 0 or not workers >= 1:  # the first also true for nan and inf
+        raise DomainError(f"workers must be an integer >= 1, got {workers!r}")
+    workers = min(int(workers), len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
@@ -110,16 +115,18 @@ def _line(plane: Plane, delta, ys, tol: float) -> np.ndarray:
     return trace
 
 
-def _scan_column(task: tuple[Plane, float, np.ndarray, float, float]
-                 ) -> tuple[list, list, int, int]:
-    """Traces, class codes, steps and right-hand-side calls of one grid
-    column (fixed delta)."""
-    plane, x, ys, tol, tol_boundary = task
-    lanes = lane_traces(x, *plane.lane_pair(ys), tol=tol)
-    traces = lanes.trace.tolist()
+def _scan_block(task: tuple[Plane, np.ndarray, np.ndarray, float, float]
+                ) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Traces, class codes, steps and right-hand-side calls of a block of
+    consecutive grid columns (deltas ``xs``), integrated as one batch of lanes."""
+    plane, xs, ys, tol, tol_boundary = task
+    a, b = plane.lane_pair(ys)
+    k = len(xs)
+    lanes = lane_traces(np.repeat(xs, ys.size), np.tile(a, k), np.tile(b, k), tol=tol)
     codes = [FAILED_CODE if math.isnan(t) else _CLASS_CODE[classify_trace(t, tol_boundary)]
-             for t in traces]
-    return traces, codes, lanes.steps, lanes.rhs_evals
+             for t in lanes.trace.tolist()]
+    return (lanes.trace.reshape(k, -1), np.array(codes, dtype=np.int8).reshape(k, -1),
+            lanes.steps, lanes.rhs_evals)
 
 
 @dataclass
@@ -144,11 +151,10 @@ class StabilityGrid:
     def csv_rows(self) -> Iterable[str]:
         """Data rows 'x,y,trace,class' with 17-significant-digit floats."""
         yield "x,y,trace,class"
-        for i, x in enumerate(self.x_values):
-            for j, y in enumerate(self.y_values):
-                t = self.trace[i, j]
-                t_str = "nan" if math.isnan(t) else f"{t:.17g}"
-                yield f"{x:.17g},{y:.17g},{t_str},{self.class_name(i, j)}"
+        ys = self.y_values.tolist()
+        for x, traces, codes in zip(self.x_values.tolist(), self.trace, self.classification):
+            for y, t, c in zip(ys, traces.tolist(), codes.tolist()):
+                yield "%.17g,%.17g,%.17g,%s" % (x, y, t, CLASS_NAMES[c])
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="\n") as fh:
@@ -167,25 +173,30 @@ def scan(
 ) -> StabilityGrid:
     """Fill a StabilityGrid with the monodromy trace of every cell.
 
-    Each grid column (one delta) is one task, which ``hill.lane_traces``
-    integrates as one batch of lanes to half the period.  Traces therefore agree
-    with ``trace_at`` within the integrator tolerance, not bit for bit.
-    With ``workers > 1`` the columns are distributed over a process pool;
-    the lanes of a task are fixed by the grid, never by the worker count,
-    so the output is byte-identical for any number of workers.  Cells
-    whose coefficient is invalid (delta = 0, omega <= 0) or whose
-    integration fails alone are recorded as NaN; the scan itself never
-    aborts.  ``meta`` adds the summed integration ``steps``, right-hand-side
-    calls ``rhs_evals`` (each covering a whole column) and ``failed_cells``.
+    Each task is a block of consecutive whole columns (one delta each) with
+    about ``_BLOCK_LANES`` cells, which ``hill.lane_traces`` integrates as
+    one batch of lanes to half the period.  Traces therefore agree with
+    ``trace_at`` within the integrator tolerance, not bit for bit.  The
+    blocks depend only on the grid's shape, never on the worker count, so
+    the output is byte-identical for any number of workers; with
+    ``workers > 1`` they are distributed over a process pool, and a grid of
+    one block starts none (``map_cells``).  Cells whose coefficient is
+    invalid (delta = 0, omega <= 0) or whose integration fails alone are
+    recorded as NaN; the scan itself never aborts.  ``meta`` adds the number
+    of lane batches ``blocks``, the summed integration ``steps`` and
+    right-hand-side calls ``rhs_evals`` (each covering a whole block) and
+    ``failed_cells``.
     """
     xs = axis_values(*x_range, resolution[0])
     ys = axis_values(*y_range, resolution[1])
     classify_trace(0.0, tol_boundary)  # rejects a bad band up front
-    tasks = [(plane, float(x), ys, float(integrator_tol), float(tol_boundary)) for x in xs]
-    results = map_cells(_scan_column, tasks, workers)
+    cols = max(1, _BLOCK_LANES // ys.size)
+    tasks = [(plane, xs[i:i + cols], ys, float(integrator_tol), float(tol_boundary))
+             for i in range(0, xs.size, cols)]
+    results = map_cells(_scan_block, tasks, workers)
 
-    trace = np.array([r[0] for r in results])
-    classification = np.array([r[1] for r in results], dtype=np.int8)
+    trace = np.concatenate([r[0] for r in results])
+    classification = np.concatenate([r[1] for r in results])
     meta = {
         "plane": plane.value,
         "x_range": [float(x_range[0]), float(x_range[1])],
@@ -194,6 +205,7 @@ def scan(
         "integrator_tol": float(integrator_tol),
         "tol_boundary": float(tol_boundary),
         "level_threshold": 2.0 - float(tol_boundary),
+        "blocks": len(tasks),
         "steps": sum(r[2] for r in results),
         "rhs_evals": sum(r[3] for r in results),
         "failed_cells": int(np.count_nonzero(classification == FAILED_CODE)),
