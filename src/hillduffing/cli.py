@@ -38,10 +38,12 @@ _CRITERIA = {
 def _parse_range(text: str) -> tuple[float, float, int]:
     """Parse 'lo:hi:count' with inclusive endpoints; ``tongues.axis_values``
     checks the values."""
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise DomainError(f"range must look like lo:hi:count, got {text!r}")
-    return float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        lo, hi, count = text.split(":")
+        return float(lo), float(hi), int(count)
+    except ValueError:
+        raise DomainError("range must look like lo:hi:count with numbers lo, hi and "
+                          f"an integer count, got {text!r}") from None
 
 
 def _workers(args: argparse.Namespace) -> int:
@@ -114,6 +116,13 @@ def _criteria_cell(task) -> tuple[str, ...]:
     return tuple(verdicts)
 
 
+def _criteria_rows(task) -> list[str]:
+    """CSV rows of one ``tongues.map_columns`` block, column by column."""
+    xs, ys, plane, names = task
+    return [f"{x:.17g},{y:.17g}," + ",".join(_criteria_cell((plane, x, y, names)))
+            for x in xs.tolist() for y in ys.tolist()]
+
+
 def _cmd_criteria_map(args: argparse.Namespace) -> int:
     x_lo, x_hi, nx = _parse_range(args.x)
     y_lo, y_hi, ny = _parse_range(args.y)
@@ -124,19 +133,16 @@ def _cmd_criteria_map(args: argparse.Namespace) -> int:
     xs = tongues.axis_values(x_lo, x_hi, nx)
     ys = tongues.axis_values(y_lo, y_hi, ny)
     plane = tongues.Plane(args.plane)
-    tasks = [(plane, float(x), float(y), tuple(names)) for x in xs for y in ys]
     t0 = time.perf_counter()
     workers = _workers(args)
-    cells = tongues.map_cells(_criteria_cell, tasks, workers)
+    blocks = tongues.map_columns(_criteria_rows, xs, ys, workers, plane, tuple(names))
     wall = time.perf_counter() - t0
     header = "x,y," + ",".join(n.replace("-", "_") for n in names)
-    rows = [header] + [f"{x:.17g},{y:.17g}," + ",".join(v)
-                       for (_, x, y, _), v in zip(tasks, cells)]
     config = {
         "plane": args.plane, "x_range": [x_lo, x_hi], "y_range": [y_lo, y_hi],
-        "resolution": [nx, ny], "criteria": names, "workers": workers,
+        "resolution": [nx, ny], "criteria": names, "workers": workers, "blocks": len(blocks),
     }
-    return _write_grid(args, rows, nx * ny, config, wall)
+    return _write_grid(args, itertools.chain([header], *blocks), nx * ny, config, wall)
 
 
 def _cmd_tongue_bracket(args: argparse.Namespace) -> int:

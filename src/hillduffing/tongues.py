@@ -40,7 +40,7 @@ CLASS_NAMES = {0: "stable", 1: "unstable", 2: "boundary", 3: "nan"}
 _CLASS_CODE = {Stability.STABLE: 0, Stability.UNSTABLE: 1, Stability.BOUNDARY: 2}
 FAILED_CODE = 3
 _WALK_CHUNK = 8  # outward-walk candidates per lane batch
-_BLOCK_LANES = 2048  # about this many cells per scan task, in whole columns
+_BLOCK_LANES = 2048  # about this many cells per grid task, in whole columns
 
 
 class StripVerdict(enum.Enum):
@@ -81,7 +81,7 @@ def map_cells(fn: Callable, tasks: list, workers: int) -> list:
     ``min(workers, len(tasks))`` workers when that is more than one, so a
     single task never starts a pool; each worker gets about four chunks of
     tasks.  A ``workers`` that is not an integer >= 1 raises a ``DomainError``
-    whatever the number of tasks."""
+    whatever the number of tasks.  Grid commands come through ``map_columns``."""
     if workers % 1 != 0 or not workers >= 1:  # the first also true for nan and inf
         raise DomainError(f"workers must be an integer >= 1, got {workers!r}")
     workers = min(int(workers), len(tasks))
@@ -89,6 +89,15 @@ def map_cells(fn: Callable, tasks: list, workers: int) -> list:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
     return [fn(t) for t in tasks]
+
+
+def map_columns(fn: Callable, xs: np.ndarray, ys: np.ndarray, workers: int, *args) -> list:
+    """``map_cells`` of ``fn((block, ys, *args))`` over blocks of consecutive
+    whole columns of the grid ``xs`` by ``ys``, each at least one column and
+    about ``_BLOCK_LANES`` cells; they depend on the grid's shape only, never
+    on ``workers``, so the results do not, and one block starts no pool."""
+    cols = max(1, _BLOCK_LANES // ys.size)
+    return map_cells(fn, [(xs[i:i + cols], ys, *args) for i in range(0, xs.size, cols)], workers)
 
 
 def _refine_peak(f: Callable[[float], float], a: float, b: float,
@@ -115,11 +124,11 @@ def _line(plane: Plane, delta, ys, tol: float) -> np.ndarray:
     return trace
 
 
-def _scan_block(task: tuple[Plane, np.ndarray, np.ndarray, float, float]
+def _scan_block(task: tuple[np.ndarray, np.ndarray, Plane, float, float]
                 ) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Traces, class codes, steps and right-hand-side calls of a block of
     consecutive grid columns (deltas ``xs``), integrated as one batch of lanes."""
-    plane, xs, ys, tol, tol_boundary = task
+    xs, ys, plane, tol, tol_boundary = task
     a, b = plane.lane_pair(ys)
     k = len(xs)
     lanes = lane_traces(np.repeat(xs, ys.size), np.tile(a, k), np.tile(b, k), tol=tol)
@@ -173,27 +182,21 @@ def scan(
 ) -> StabilityGrid:
     """Fill a StabilityGrid with the monodromy trace of every cell.
 
-    Each task is a block of consecutive whole columns (one delta each) with
-    about ``_BLOCK_LANES`` cells, which ``hill.lane_traces`` integrates as
-    one batch of lanes to half the period.  Traces therefore agree with
-    ``trace_at`` within the integrator tolerance, not bit for bit.  The
-    blocks depend only on the grid's shape, never on the worker count, so
-    the output is byte-identical for any number of workers; with
-    ``workers > 1`` they are distributed over a process pool, and a grid of
-    one block starts none (``map_cells``).  Cells whose coefficient is
-    invalid (delta = 0, omega <= 0) or whose integration fails alone are
-    recorded as NaN; the scan itself never aborts.  ``meta`` adds the number
-    of lane batches ``blocks``, the summed integration ``steps`` and
-    right-hand-side calls ``rhs_evals`` (each covering a whole block) and
-    ``failed_cells``.
+    Each block of whole columns from ``map_columns`` is integrated by
+    ``hill.lane_traces`` as one batch of lanes to half the period.  Traces
+    therefore agree with ``trace_at`` within the integrator tolerance, not
+    bit for bit, and the output is byte-identical for any number of
+    workers.  Cells whose coefficient is invalid (delta = 0, omega <= 0) or
+    whose integration fails alone are recorded as NaN; the scan itself
+    never aborts.  ``meta`` adds the number of lane batches ``blocks``, the
+    summed integration ``steps`` and right-hand-side calls ``rhs_evals``
+    (each covering a whole block) and ``failed_cells``.
     """
     xs = axis_values(*x_range, resolution[0])
     ys = axis_values(*y_range, resolution[1])
     classify_trace(0.0, tol_boundary)  # rejects a bad band up front
-    cols = max(1, _BLOCK_LANES // ys.size)
-    tasks = [(plane, xs[i:i + cols], ys, float(integrator_tol), float(tol_boundary))
-             for i in range(0, xs.size, cols)]
-    results = map_cells(_scan_block, tasks, workers)
+    results = map_columns(_scan_block, xs, ys, workers,
+                          plane, float(integrator_tol), float(tol_boundary))
 
     trace = np.concatenate([r[0] for r in results])
     classification = np.concatenate([r[1] for r in results])
@@ -205,7 +208,7 @@ def scan(
         "integrator_tol": float(integrator_tol),
         "tol_boundary": float(tol_boundary),
         "level_threshold": 2.0 - float(tol_boundary),
-        "blocks": len(tasks),
+        "blocks": len(results),
         "steps": sum(r[2] for r in results),
         "rhs_evals": sum(r[3] for r in results),
         "failed_cells": int(np.count_nonzero(classification == FAILED_CODE)),

@@ -60,6 +60,14 @@ class TestScanCommand:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("text", ["1:2:2.5", "a:b:c", "1:x:3", "1:2", "1:2:3:4"])
+    def test_malformed_range_is_quoted(self, text, tmp_path, capsys):
+        code, _, err = run(capsys, "scan", "--plane", "gamma", "--x", text, "--y", "0:1:2",
+                           "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert err.startswith("error: range must look like lo:hi:count") and repr(text) in err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_io_error_exit_3(self, tmp_path, capsys):
         code, _, err = run(capsys, "scan", "--plane", "gamma",
                            "--x", "0.5:1:2", "--y", "0:1:2",

@@ -1,13 +1,15 @@
-"""Scan tasks as blocks of whole columns, the worker-count check and the
-byte-exact CSV formatting of scans and beam trajectories."""
+"""Grid tasks of scan and criteria-map as blocks of whole columns, the
+worker-count check and the byte-exact CSV formatting of scans, criteria maps
+and beam trajectories."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from hillduffing import DomainError, ModePair, Plane, scan, simulate, tongues
-from hillduffing.cli import main
+from hillduffing.cli import _criteria_cell, main
 from hillduffing.hill import monodromy
 
 BLOCK = tongues._BLOCK_LANES
@@ -71,6 +73,37 @@ def test_chart_size_scan_starts_no_pool(monkeypatch):
     grid = scan(Plane.OMEGA, (0.05, 5.0), (0.1, 7.0), (26, 41), workers=2)
     assert grid.meta["blocks"] == 1
     assert not (grid.classification == FAILED).any()
+
+
+def test_chart_size_criteria_map_starts_no_pool(tmp_path, monkeypatch):
+    monkeypatch.setattr(tongues, "ProcessPoolExecutor", None)
+    ny = 41
+    nx = BLOCK // ny
+    assert main(["criteria-map", "--plane", "omega", "--x", f"0.5:5:{nx}", "--y", f"0.1:7:{ny}",
+                 "--workers", "2", "--out", str(tmp_path / "c")]) == 0
+    meta = json.loads((tmp_path / "c.meta.json").read_text())
+    assert meta["config"]["blocks"] == 1 and meta["config"]["workers"] == 2
+    assert len((tmp_path / "c.csv").read_text().splitlines()) == 1 + nx * ny
+
+
+def test_multi_block_criteria_map_matches_every_cell(tmp_path):
+    nx, ny, cols = _grid_shape(41)
+    names = ("li-zhang", "zhukovskii", "burdina")
+    args = ["criteria-map", "--plane", "omega", "--x", f"-1:5:{nx}", "--y", f"0:7:{ny}",
+            "--criteria", ",".join(names)]
+    for w in (1, 2):
+        assert main(args + ["--workers", str(w), "--out", str(tmp_path / f"w{w}")]) == 0
+        meta = json.loads((tmp_path / f"w{w}.meta.json").read_text())
+        assert meta["config"]["blocks"] == 4
+    one = (tmp_path / "w1.csv").read_bytes()
+    assert nx % cols and one == (tmp_path / "w2.csv").read_bytes()
+    rows = ["x,y,li_zhang,zhukovskii,burdina"]
+    for x in tongues.axis_values(-1.0, 5.0, nx):
+        for y in tongues.axis_values(0.0, 7.0, ny):
+            verdicts = _criteria_cell((Plane.OMEGA, float(x), float(y), names))
+            rows.append(f"{x:.17g},{y:.17g}," + ",".join(verdicts))
+    assert one == ("\n".join(rows) + "\n").encode()
+    assert {"S", "I"} <= {v for row in rows[1:] for v in row.split(",")[2:]}
 
 
 @pytest.mark.parametrize("workers", [0, -3, math.nan, math.inf, 2.5])
