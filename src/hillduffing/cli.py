@@ -6,8 +6,8 @@ separator, '\\n' line endings).  Grid commands write ``<name>.csv`` plus a
 ``<name>.meta.json`` sidecar echoing the full configuration; the sidecar
 also records wall time, so only the CSV is byte-reproducible.
 
-Exit codes: 0 success, 1 verification failure, 2 usage/config error,
-3 I/O error.
+Exit codes: 0 success, 1 verification failure, 2 usage/config error or
+failed integration, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import sys
 import time
 
 from . import __version__, beam, criteria, duffing, hill, tongues, verify
-from .errors import BracketNotFound, DomainError
+from .errors import BracketNotFound, DomainError, IntegrationFailure
 
 # let argparse accept range values like "-2:6:160" that begin with a minus
 _NEGATIVE_RANGE = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?(:\S*)?$")
@@ -281,7 +281,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, ValueError) as exc:
+    except (DomainError, ValueError, IntegrationFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -77,13 +77,11 @@ class CriterionVerdict:
 
 
 def _sampled_bounds(p: PeriodicCoefficient) -> tuple[float, float]:
-    """Conservative (min, max) of p from sampling, widened by the observed
-    local Lipschitz bound times the sample spacing."""
+    """Conservative (min, max) of p from sampling, widened by the largest
+    change between neighbouring samples."""
     ts = np.linspace(0.0, p.period, _SAMPLE_COUNT, endpoint=False)
     vals = np.array([p(t) for t in ts])
-    dt = p.period / _SAMPLE_COUNT
-    lip = float(np.max(np.abs(np.diff(vals)))) / dt if vals.size > 1 else 0.0
-    pad = lip * dt
+    pad = float(np.max(np.abs(np.diff(vals))))
     return float(vals.min()) - pad, float(vals.max()) + pad
 
 
@@ -133,14 +131,6 @@ def zhukovskii(p: PeriodicCoefficient) -> CriterionVerdict:
     return _harmonic_window(*_bounds(p), p.period)
 
 
-def _square(x: float) -> float:
-    """x ** 2, or inf where that overflows: every finite bound lies below it."""
-    try:
-        return x ** 2
-    except OverflowError:
-        return math.inf
-
-
 def _harmonic_window(pmin: float, pmax: float, T: float) -> CriterionVerdict:
     """Zhukovskii's test on a coefficient of period T with bounds [pmin, pmax]."""
     if pmin < 0.0:
@@ -152,9 +142,9 @@ def _harmonic_window(pmin: float, pmax: float, T: float) -> CriterionVerdict:
                                 quantities={"min_p": pmin, "max_p": pmax},
                                 note="harmonic index sqrt(min p) T / pi is not finite")
     ell = int(math.floor(index))
+    lo, hi = ell * scale, (ell + 1) * scale  # a square past the float range is inf
     q = {"min_p": pmin, "max_p": pmax,  # ell = 0 keeps 0 * inf out of window_lo
-         "window_lo": _square(ell * scale) if ell else 0.0,
-         "window_hi": _square((ell + 1) * scale)}
+         "window_lo": lo * lo if ell else 0.0, "window_hi": hi * hi}
     if pmax <= q["window_hi"]:
         return CriterionVerdict(Criterion.ZHUKOVSKII, Outcome.GUARANTEED_STABLE,
                                 witness_ell=ell, quantities=q)

@@ -1,10 +1,11 @@
 """Complete elliptic integral of the first kind and Jacobi elliptic functions.
 
-Everything here is computed from scratch with the arithmetic-geometric mean:
-``complete_K`` from the classical AGM limit, and the Jacobi triple
-(sn, cn, dn) from the AGM descent followed by Gauss' backward phase
-recursion.  Only real arguments and moduli 0 <= k < 1 are supported; the
-rest of the library never needs k above 1/sqrt(2).
+Everything here is computed from scratch with one run of the
+arithmetic-geometric mean of 1 and k' per modulus (DLMF 19.8(i), 22.20(ii)):
+``complete_K`` is its limit, and the Jacobi triple (sn, cn, dn) follows
+from its descent by Gauss' backward phase recursion.  Only real arguments
+and moduli 0 <= k < 1 are supported; the rest of the library never needs k
+above 1/sqrt(2).
 """
 
 from __future__ import annotations
@@ -38,38 +39,32 @@ def _check_modulus(k: float) -> float:
     return k
 
 
-@lru_cache(maxsize=4096)
 def complete_K(k: float) -> float:
-    """Complete elliptic integral of the first kind, K(k).
+    """Complete elliptic integral of the first kind, K(k) = pi / (2 agm(1, k')).
 
-    Computed by the AGM iteration K = pi / (2 agm(1, k')), which converges
-    quadratically; the loop stops once |a - b| <= 4 eps a (about five
-    iterations for the moduli used here).  Relative error is at the
-    rounding level, far inside the 1e-13 contract.
+    The AGM converges quadratically; K is read off at the first step with
+    |a - b| <= 4 eps a (about five iterations for the moduli used here).
+    Relative error is at the rounding level, far inside the 1e-13 contract.
     """
-    k = _check_modulus(k)
-    if k == 0.0:
-        return math.pi / 2.0
-    a = 1.0
-    b = math.sqrt((1.0 - k) * (1.0 + k))
-    for _ in range(_MAX_AGM_ITER):
-        if abs(a - b) <= 4.0 * _EPS * a:
-            break
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return math.pi / (2.0 * a)
+    return _descent(_check_modulus(k))[0]
 
 
 @lru_cache(maxsize=4096)
 def _descent(k: float) -> tuple[float, float, tuple[float, ...]]:
-    """``jacobi``'s AGM descent for 0 < k < 1: 4 K(k), 2^n a_n and c_i / a_i, i = n..1."""
+    """One AGM run of (a, b, c) = (1, k', k) for 0 <= k < 1: K(k), 2^n a_n and
+    c_i / a_i, i = n..1, with n the first step where c_n <= eps a_n.  K comes
+    no later, as c_n = (a_{n-1} - b_{n-1}) / 2."""
     a, b, c = 1.0, math.sqrt((1.0 - k) * (1.0 + k)), k
-    ratios = []
-    while abs(c) > _EPS * a:
+    quarter, ratios = None, []
+    while True:
+        if quarter is None and abs(a - b) <= 4.0 * _EPS * a:
+            quarter = math.pi / (2.0 * a)
+        if abs(c) <= _EPS * a:
+            return quarter, (2.0 ** len(ratios)) * a, tuple(reversed(ratios))
         a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
         ratios.append(c / a)
         if len(ratios) >= _MAX_AGM_ITER:
             raise DomainError(f"AGM descent did not converge for k={k!r}")
-    return 4.0 * complete_K(k), (2.0 ** len(ratios)) * a, tuple(reversed(ratios))
 
 
 def jacobi(u: float, k: float) -> JacobiTriple:
@@ -99,8 +94,8 @@ def jacobi(u: float, k: float) -> JacobiTriple:
         # degenerate Landen descent; trigonometric limit is exact
         return JacobiTriple(math.sin(u), math.cos(u), 1.0)
 
-    period, scale, ratios = _descent(k)
-    phi = scale * math.fmod(u, period)
+    quarter, scale, ratios = _descent(k)
+    phi = scale * math.fmod(u, 4.0 * quarter)
     for ratio in ratios:
         # rounding can push the ratio marginally outside [-1, 1]
         s = max(-1.0, min(1.0, ratio * math.sin(phi)))

@@ -277,8 +277,8 @@ def lane_traces(delta, a, b, tol: float = DEFAULT_TOL,
     A lane with a delta ``DuffingParams`` rejects or a non-finite a_i or b_i
     gets NaN and takes no part in the step-size control.  After a step-cap
     or underflow failure every lane is integrated again alone, and one that
-    fails alone gets NaN.  Traces agree with ``monodromy`` within the
-    integrator tolerance, not bit for bit.
+    fails alone gets NaN, without a numpy warning.  Traces agree with
+    ``monodromy`` within the integrator tolerance, not bit for bit.
     """
     tol = _check_tol(tol)  # also when no lane is live
     delta, a, b = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (delta, a, b)))
@@ -308,9 +308,10 @@ def lane_traces(delta, a, b, tol: float = DEFAULT_TOL,
             trace[live[lanes]] = 2.0 * (u1 * du2 + du1 * u2)
         return sol
 
-    runs = [solve(slice(None))]
-    if runs[0].failure is not None:
-        runs += [solve(slice(i, i + 1)) for i in range(live.size)]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing lane reads NaN
+        runs = [solve(slice(None))]
+        if runs[0].failure is not None:
+            runs += [solve(slice(i, i + 1)) for i in range(live.size)]
     return LaneTraces(trace, sum(r.steps for r in runs), sum(r.rhs_evals for r in runs))
 
 
@@ -341,24 +342,19 @@ def exact_solution_residual(kind: ExactLine, delta: float, t_samples) -> float:
     s2 = rate * rate
     d2 = float(delta) * float(delta)
 
-    gamma = {
-        ExactLine.CN_AT_GAMMA_ONE: 1.0,
-        ExactLine.SN_AT_PARABOLA: 1.0 + d2 / 2.0,
-        ExactLine.DN_AT_NEGATIVE_PARABOLA: -d2 / 2.0,
+    # gamma of each line, and (xi, xi'') of its solution at (sn, cn, dn)
+    gamma, solution = {
+        ExactLine.CN_AT_GAMMA_ONE:
+            (1.0, lambda sn, cn, dn: (cn, -s2 * cn * (dn * dn - k2 * sn * sn))),
+        ExactLine.SN_AT_PARABOLA:
+            (1.0 + d2 / 2.0, lambda sn, cn, dn: (sn, -s2 * sn * (dn * dn + k2 * cn * cn))),
+        ExactLine.DN_AT_NEGATIVE_PARABOLA:
+            (-d2 / 2.0, lambda sn, cn, dn: (dn, -s2 * k2 * dn * (cn * cn - sn * sn))),
     }[kind]
 
     worst = 0.0
     for t in t_samples:
         sn, cn, dn = elliptic.jacobi(rate * float(t), k)
-        if kind is ExactLine.CN_AT_GAMMA_ONE:
-            xi = cn
-            xi_dd = -s2 * cn * (dn * dn - k2 * sn * sn)
-        elif kind is ExactLine.SN_AT_PARABOLA:
-            xi = sn
-            xi_dd = -s2 * sn * (dn * dn + k2 * cn * cn)
-        else:
-            xi = dn
-            xi_dd = -s2 * k2 * dn * (cn * cn - sn * sn)
-        p = gamma + d2 * cn * cn
-        worst = max(worst, abs(xi_dd + p * xi))
+        xi, xi_dd = solution(sn, cn, dn)
+        worst = max(worst, abs(xi_dd + (gamma + d2 * cn * cn) * xi))
     return worst

@@ -308,9 +308,12 @@ def trace_level_bracket(
     Raises
     ------
     BracketNotFound
-        If no interior point with |trace| above the threshold is detected;
-        thin tongues can fall below any fixed sampling resolution.
+        If no interior point with |trace| above the threshold is detected
+        (thin tongues can fall below any fixed sampling resolution), or
+        the walk reaches the omega floor with |trace| still above it.
     """
+    if ell % 1 != 0 or not ell >= 1:  # the first also true for nan and inf
+        raise DomainError(f"tongue index ell must be an integer >= 1, got {ell!r}")
     if not (valid_amplitude(delta) and delta > 0.0):
         raise DomainError(f"need delta > 0 with 2 (1 + delta^2) finite, got {delta!r}")
     if threshold is None:
@@ -370,7 +373,13 @@ def trace_level_bracket(
         if end == len(ys):  # neither below the threshold nor clipped
             raise BracketNotFound("stable side not reached during outward walk")
         a, b = sorted((ys[end - 1], ys[end]))
-        return float(brentq(lambda y: abs_trace(y) - threshold, a, b, xtol=bisect_tol))
+        try:
+            return float(brentq(lambda y: abs_trace(y) - threshold, a, b, xtol=bisect_tol))
+        except DomainError:
+            raise
+        except ValueError:  # no sign change, as at a clipped y_floor with |trace| above
+            raise BracketNotFound(f"|trace| does not cross {threshold} between {a!r} and "
+                                  f"{b!r}; the {plane.value} floor is {y_floor!r}") from None
 
     lower = crossing(-1)
     upper = crossing(+1)
@@ -399,18 +408,10 @@ def asymptotic_classification(omega: float) -> AsymptoticClass:
     return AsymptoticClass.UNSTABLE_AT_INFINITY
 
 
-_CROSSING_TABLE: tuple[tuple[float, float, bool, bool, int], ...] = (
-    # (lo, hi, lo_closed, hi_closed, crossings)
-    (0.0, 1.0, False, False, 0),
-    (1.0, 2.0, False, True, 1),
-    (2.0, 3.0, False, False, 3),
-    (3.0, 3.0, True, True, 2),
-    (3.0, 4.0, False, True, 4),
-    (4.0, 5.0, False, True, 6),
-    (5.0, 6.0, False, False, 8),
-    (6.0, 6.0, True, True, 7),
-    (6.0, 7.0, False, True, 9),
-)
+# the paper's counts on the gaps (j - 1, j] of omega, j = 1..7, and on the
+# resonant lines omega = 1 (no count), 3 and 6
+_GAP_CROSSINGS = (0, 1, 3, 4, 6, 8, 9)
+_LINE_CROSSINGS = {1.0: None, 3.0: 2, 6.0: 7}
 
 
 def crossing_count(omega: float) -> int:
@@ -425,12 +426,10 @@ def crossing_count(omega: float) -> int:
     omega = float(omega)
     if not (0.0 < omega <= 7.0):
         raise DomainError(f"crossing table covers 0 < omega <= 7, got {omega!r}")
-    for lo, hi, lo_closed, hi_closed, count in _CROSSING_TABLE:
-        above = omega >= lo if lo_closed else omega > lo
-        below = omega <= hi if hi_closed else omega < hi
-        if above and below:
-            return count
-    raise DomainError(f"omega = {omega!r} lies on a resonant line; no tabulated count")
+    count = _LINE_CROSSINGS.get(omega, _GAP_CROSSINGS[math.ceil(omega) - 1])
+    if count is None:
+        raise DomainError(f"omega = {omega!r} lies on a resonant line; no tabulated count")
+    return count
 
 
 def recount_crossings(
