@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .duffing import DuffingParams, period
-from .errors import DomainError
+from .errors import DomainError, require_count
 from .hill import DEFAULT_TOL, DEFAULT_TOL_BOUNDARY, Plane, Stability, classify_trace
 from .hill import monodromy  # noqa: F401  (bench/spans.py patches beam.monodromy)
 from .integrate import solve_sampled
@@ -42,11 +42,8 @@ class ModePair:
     n: int
 
     def __post_init__(self) -> None:
-        for name, value in (("m", self.m), ("n", self.n)):
-            if value % 1 != 0:  # also true for nan and inf
-                raise DomainError(f"mode number {name} must be an integer, got {value!r}")
-        if self.m < 1 or self.n < 1:
-            raise DomainError(f"mode numbers must be positive, got ({self.m}, {self.n})")
+        require_count("mode number m", self.m, 1)
+        require_count("mode number n", self.n, 1)
         if self.m == self.n:
             raise DomainError("mode numbers must differ")
 
@@ -154,8 +151,7 @@ def simulate(
         raise DomainError(f"horizon must be finite and positive, got {horizon!r}")
     if not 1.0 < growth_factor < math.inf:
         raise DomainError(f"growth_factor must be finite and > 1, got {growth_factor!r}")
-    if samples % 1 != 0 or not samples >= 1:  # the first also true for nan and inf
-        raise DomainError(f"samples must be an integer of at least 1, got {samples!r}")
+    samples = require_count("samples", samples, 1)
 
     # sample densely enough to resolve the fast mode's envelope
     fast = max(pair.m, pair.n) ** 2
@@ -169,7 +165,7 @@ def simulate(
     exceeded = np.flatnonzero(abs_z > threshold)
     onset = float(ts[exceeded[0]]) if exceeded.size else None
 
-    keep = np.linspace(0, n_internal - 1, min(int(samples), n_internal)).round().astype(int)
+    keep = np.linspace(0, n_internal - 1, min(samples, n_internal)).round().astype(int)
     trajectory = np.column_stack(
         [ts[keep], states[keep], _energy_rows(pair, states[keep])]
     )

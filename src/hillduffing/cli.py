@@ -22,7 +22,7 @@ import sys
 import time
 
 from . import __version__, beam, criteria, duffing, hill, tongues, verify
-from .errors import BracketNotFound, DomainError, IntegrationFailure
+from .errors import BracketNotFound, DomainError, IntegrationFailure, require_count
 
 # let argparse accept range values like "-2:6:160" that begin with a minus
 _NEGATIVE_RANGE = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?(:\S*)?$")
@@ -53,12 +53,9 @@ def _workers(args: argparse.Namespace) -> int:
     if not env:
         return args.workers
     try:
-        n = int(env)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise DomainError(f"HILLDUFFING_WORKERS must be an integer >= 1, got {env!r}")
-    return n
+        return require_count("HILLDUFFING_WORKERS", int(env), 1)
+    except ValueError:  # not an integer, or the DomainError of require_count
+        raise DomainError(f"HILLDUFFING_WORKERS must be an integer >= 1, got {env!r}") from None
 
 
 def _write_text(path: str, lines) -> None:
@@ -107,13 +104,7 @@ def _criteria_cell(task) -> tuple[str, ...]:
         cell = criteria.SquaredDuffing(plane, x, y)
     except DomainError:
         return tuple("I" for _ in names)
-    verdicts = []
-    for name in names:
-        try:
-            verdicts.append("S" if _CRITERIA[name](cell).guaranteed_stable else "I")
-        except ValueError:
-            verdicts.append("I")
-    return tuple(verdicts)
+    return tuple("S" if _CRITERIA[name](cell).guaranteed_stable else "I" for name in names)
 
 
 def _criteria_rows(task) -> list[str]:

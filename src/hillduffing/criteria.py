@@ -172,9 +172,12 @@ def _phase_window(A: float, B: float, margin: float, **quantities: float) -> Cri
     A + B < (l + 1) pi, each by more than ``margin``.  Only l = floor(A / pi)
     can work (the window containing A is unique), so only it is tried.
     ``quantities`` are reported with A, B and the window."""
+    q = dict(quantities, phase_integral=A, log_correction=B)
+    if not math.isfinite(A):
+        return CriterionVerdict(Criterion.BURDINA, Outcome.INCONCLUSIVE, quantities=q,
+                                note="phase integral is not finite")
     ell = int(math.floor(A / math.pi))
-    q = dict(quantities, phase_integral=A, log_correction=B,
-             window_lo=ell * math.pi, window_hi=(ell + 1) * math.pi)
+    q.update(window_lo=ell * math.pi, window_hi=(ell + 1) * math.pi)
     if ell >= 0 and A - B - ell * math.pi > margin and (ell + 1) * math.pi - (A + B) > margin:
         return CriterionVerdict(Criterion.BURDINA, Outcome.GUARANTEED_STABLE,
                                 witness_ell=ell, quantities=q)

@@ -1,4 +1,5 @@
-"""Exception types shared across the library, and the finiteness check."""
+"""Exception types shared across the library, and the argument checks that raise
+them: ``require_finite`` for real values and ``require_count`` for integer ones."""
 
 import math
 
@@ -21,3 +22,11 @@ def require_finite(**values: float) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value!r}")
+
+
+def require_count(name: str, value, minimum: int) -> int:
+    """``int(value)``, or a ``DomainError`` naming ``name`` unless ``value`` is an integer
+    from ``minimum`` to 2^53, so that ``float`` of it is exact (NaN, inf and fractions fail)."""
+    if value % 1 != 0 or not minimum <= value <= 2**53:  # the first also true for nan and inf
+        raise DomainError(f"{name} must be an integer >= {minimum} and <= 2^53, got {value!r}")
+    return int(value)

@@ -265,7 +265,8 @@ def _cn2_series(delta: float) -> tuple[float, np.ndarray]:
 def lane_traces(delta, a, b, tol: float = DEFAULT_TOL,
                 max_steps: int = DEFAULT_MAX_STEPS) -> LaneTraces:
     """Monodromy traces of xi'' + (a_i + b_i delta_i^2 cn^2(sqrt(1 + delta_i^2) s,
-    k_i)) xi = 0 for every lane i, with ``delta``, ``a`` and ``b`` broadcast.
+    k_i)) xi = 0 for every lane i, with ``delta``, ``a`` and ``b`` broadcast in any
+    shape; ``trace`` has the broadcast shape, lane i its i-th element in C order.
 
     Lane i runs in its own time tau = s / h_i, h_i half its coefficient's
     period, in which the coefficient is h_i^2 a_i plus b_i times a series
@@ -282,7 +283,8 @@ def lane_traces(delta, a, b, tol: float = DEFAULT_TOL,
     """
     tol = _check_tol(tol)  # also when no lane is live
     delta, a, b = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (delta, a, b)))
-    trace = np.full(a.shape, math.nan)
+    trace = np.full(a.shape, math.nan)  # written through trace.flat, lane by lane
+    delta, a, b = delta.ravel(), a.ravel(), b.ravel()
     live = np.flatnonzero(np.isfinite(a) & np.isfinite(b) & valid_amplitude(delta))
     if not live.size:
         return LaneTraces(trace, 0, 0)
@@ -305,7 +307,7 @@ def lane_traces(delta, a, b, tol: float = DEFAULT_TOL,
         sol = solve_lanes(rhs, 0.0, 1.0, y0, tol, max_steps)
         if sol.failure is None:
             u1, du1, u2, du2 = sol.y
-            trace[live[lanes]] = 2.0 * (u1 * du2 + du1 * u2)
+            trace.flat[live[lanes]] = 2.0 * (u1 * du2 + du1 * u2)
         return sol
 
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing lane reads NaN

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
 from .duffing import valid_amplitude
-from .errors import BracketNotFound, DomainError, IntegrationFailure, require_finite
+from .errors import BracketNotFound, DomainError, IntegrationFailure, require_count, require_finite
 from .hill import (
     DEFAULT_TOL,
     DEFAULT_TOL_BOUNDARY,
@@ -58,8 +58,7 @@ class AsymptoticClass(enum.Enum):
 def axis_values(lo: float, hi: float, count: int) -> np.ndarray:
     """Inclusive-endpoint axis lo + i (hi - lo) / (count - 1), reproducible
     without accumulation error."""
-    if count % 1 != 0 or not count >= 2:  # the first also true for nan and inf
-        raise DomainError(f"resolution must be an integer >= 2 per axis, got {count!r}")
+    count = require_count("resolution", count, 2)
     if not math.isfinite(hi - lo):
         raise DomainError(f"range must have finite endpoints and width, got ({lo}, {hi})")
     if not hi > lo:
@@ -80,11 +79,9 @@ def map_cells(fn: Callable, tasks: list, workers: int) -> list:
     """``[fn(t) for t in tasks]``, in task order, over a process pool of
     ``min(workers, len(tasks))`` workers when that is more than one, so a
     single task never starts a pool; each worker gets about four chunks of
-    tasks.  A ``workers`` that is not an integer >= 1 raises a ``DomainError``
+    tasks.  A ``workers`` that ``require_count`` rejects raises a ``DomainError``
     whatever the number of tasks.  Grid commands come through ``map_columns``."""
-    if workers % 1 != 0 or not workers >= 1:  # the first also true for nan and inf
-        raise DomainError(f"workers must be an integer >= 1, got {workers!r}")
-    workers = min(int(workers), len(tasks))
+    workers = min(require_count("workers", workers, 1), len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
@@ -129,12 +126,10 @@ def _scan_block(task: tuple[np.ndarray, np.ndarray, Plane, float, float]
     """Traces, class codes, steps and right-hand-side calls of a block of
     consecutive grid columns (deltas ``xs``), integrated as one batch of lanes."""
     xs, ys, plane, tol, tol_boundary = task
-    a, b = plane.lane_pair(ys)
-    k = len(xs)
-    lanes = lane_traces(np.repeat(xs, ys.size), np.tile(a, k), np.tile(b, k), tol=tol)
+    lanes = lane_traces(xs[:, None], *plane.lane_pair(ys), tol=tol)
     codes = [FAILED_CODE if math.isnan(t) else _CLASS_CODE[classify_trace(t, tol_boundary)]
-             for t in lanes.trace.tolist()]
-    return (lanes.trace.reshape(k, -1), np.array(codes, dtype=np.int8).reshape(k, -1),
+             for t in lanes.trace.ravel().tolist()]
+    return (lanes.trace, np.array(codes, dtype=np.int8).reshape(lanes.trace.shape),
             lanes.steps, lanes.rhs_evals)
 
 
@@ -238,10 +233,7 @@ def stability_strip_gamma(delta: float, gamma: float) -> StripVerdict:
 def asymptotic_tongue_bounds(plane: Plane, ell: int, delta: float) -> tuple[float, float]:
     """Small-amplitude parabolic bounds of tongue ``ell`` (valid up to
     O(delta^4) as delta -> 0; no hard cutoff is enforced)."""
-    if ell % 1 != 0:  # also true for nan and inf
-        raise DomainError(f"tongue index ell must be an integer, got {ell!r}")
-    if ell < 2:
-        raise DomainError(f"parabolic bounds exist for ell >= 2 only, got {ell}")
+    ell = require_count("ell", ell, 2)  # parabolic bounds exist for ell >= 2 only
     require_finite(delta=delta)
     d2 = float(delta) * float(delta)
     if plane is Plane.GAMMA:
@@ -312,8 +304,7 @@ def trace_level_bracket(
         (thin tongues can fall below any fixed sampling resolution), or
         the walk reaches the omega floor with |trace| still above it.
     """
-    if ell % 1 != 0 or not ell >= 1:  # the first also true for nan and inf
-        raise DomainError(f"tongue index ell must be an integer >= 1, got {ell!r}")
+    ell = require_count("ell", ell, 1)
     if not (valid_amplitude(delta) and delta > 0.0):
         raise DomainError(f"need delta > 0 with 2 (1 + delta^2) finite, got {delta!r}")
     if threshold is None:
@@ -322,9 +313,7 @@ def trace_level_bracket(
         raise DomainError(f"threshold must lie in (0, 2], got {threshold!r}")
     if not 0.0 < bisect_tol < math.inf:
         raise DomainError(f"bisect_tol must be finite and positive, got {bisect_tol!r}")
-    if samples % 1 != 0 or not samples >= 2:  # the first also true for nan and inf
-        raise DomainError(f"samples must be an integer of at least 2, got {samples!r}")
-    samples = int(samples)
+    samples = require_count("samples", samples, 2)
 
     y_floor = 1e-9 if plane is Plane.OMEGA else -math.inf
 
