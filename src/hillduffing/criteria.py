@@ -127,7 +127,8 @@ def _l2_test(lhs: float, err: float) -> CriterionVerdict:
 
 def zhukovskii(p: PeriodicCoefficient) -> CriterionVerdict:
     """Harmonic interval test: stable if some l has
-    l^2 pi^2 / T^2 <= p <= (l+1)^2 pi^2 / T^2 everywhere."""
+    l^2 pi^2 / T^2 <= p <= (l+1)^2 pi^2 / T^2 everywhere, each end held
+    with the relative margin ``_MARGIN``; a non-finite max p is inconclusive."""
     return _harmonic_window(*_bounds(p), p.period)
 
 
@@ -145,7 +146,11 @@ def _harmonic_window(pmin: float, pmax: float, T: float) -> CriterionVerdict:
     lo, hi = ell * scale, (ell + 1) * scale  # a square past the float range is inf
     q = {"min_p": pmin, "max_p": pmax,  # ell = 0 keeps 0 * inf out of window_lo
          "window_lo": lo * lo if ell else 0.0, "window_hi": hi * hi}
-    if pmax <= q["window_hi"]:
+    if not math.isfinite(pmax):
+        return CriterionVerdict(Criterion.ZHUKOVSKII, Outcome.INCONCLUSIVE, quantities=q,
+                                note="max p is not finite")
+    # both ends with a relative margin, so a rounded bound cannot reach a harmonic
+    if q["window_lo"] * (1.0 + _MARGIN) <= pmin and pmax <= q["window_hi"] * (1.0 - _MARGIN):
         return CriterionVerdict(Criterion.ZHUKOVSKII, Outcome.GUARANTEED_STABLE,
                                 witness_ell=ell, quantities=q)
     return CriterionVerdict(Criterion.ZHUKOVSKII, Outcome.INCONCLUSIVE, quantities=q,

@@ -26,7 +26,7 @@ import numpy as np
 from . import elliptic
 from .duffing import DuffingParams, period, valid_amplitude
 from .errors import DomainError, require_finite
-from .integrate import DEFAULT_MAX_STEPS, _check_tol, solve_final, solve_lanes
+from .integrate import DEFAULT_MAX_STEPS, _check_tol, solve_final, solve_hill_lanes
 
 DEFAULT_TOL = 1e-10
 DEFAULT_TOL_BOUNDARY = 1e-4
@@ -237,12 +237,15 @@ def monodromy(
 
 @dataclass(frozen=True)
 class LaneTraces:
-    """Monodromy traces of a batch of lanes (NaN where a lane failed) and
-    the integration work summed over every attempt."""
+    """Monodromy traces of a batch of lanes (NaN where a lane failed), the
+    integration work summed over every attempt, and the largest Wronskian
+    residual |u1 u2' - u1' u2 - 1| at tau = 1 over the lanes that finished
+    (the system is trace-free, so it is an integration error estimate)."""
 
     trace: np.ndarray
     steps: int
     rhs_evals: int
+    det_residual: float = 0.0
 
 
 _TERMS = 13  # the nome is at most e^-pi for k <= 1/sqrt(2): n <= 12 reach rounding
@@ -270,11 +273,14 @@ def lane_traces(delta, a, b, tol: float = DEFAULT_TOL,
 
     Lane i runs in its own time tau = s / h_i, h_i half its coefficient's
     period, in which the coefficient is h_i^2 a_i plus b_i times a series
-    in the basis cos(n pi tau) that all lanes share (``_cn2_series``), so a
-    stage is one matrix-vector product.  The coefficient is even, so the
-    principal solutions u1, u2 give the trace 2 (u1 u2' + u1' u2) at
-    tau = 1 (Magnus & Winkler, *Hill's Equation*, 1966).  The lanes step
-    together on DOP853 with a per-lane error norm (``integrate.solve_lanes``).
+    in the basis cos(n pi tau) that all lanes share (``_cn2_series``), so
+    the coefficients at all stage times of a step are one cosine table and
+    one matrix product.  The coefficient is even, so the principal
+    solutions u1, u2 give the trace 2 (u1 u2' + u1' u2) at tau = 1 (Magnus &
+    Winkler, *Hill's Equation*, 1966).  The lanes step together on the
+    linear DOP853 loop ``integrate.solve_hill_lanes``, with scipy's tableau,
+    controller and a per-lane error norm; ``det_residual`` is the largest
+    drift of the Wronskian u1 u2' - u1' u2 from 1 over the finished lanes.
     A lane with a delta ``DuffingParams`` rejects or a non-finite a_i or b_i
     gets NaN and takes no part in the step-size control.  After a step-cap
     or underflow failure every lane is integrated again alone, and one that
@@ -291,30 +297,24 @@ def lane_traces(delta, a, b, tol: float = DEFAULT_TOL,
     uniq, where = np.unique(delta[live], return_inverse=True)
     h, d = (np.array(v)[where] for v in zip(*map(_cn2_series, uniq.tolist())))
     neg_a, neg_bd = -h * h * a[live], -b[live, None] * d
+    residual = 0.0
 
     def solve(lanes: slice):
-        na, nbd = neg_a[lanes], neg_bd[lanes]
-
-        def rhs(tau: float, y: np.ndarray) -> np.ndarray:
-            # flat state; rows u1, u1', u2, u2' of the (4, lanes) view
-            f = np.empty_like(y)
-            y4, f4 = y.reshape(4, -1), f.reshape(4, -1)
-            f4[0::2] = y4[1::2]
-            np.multiply(na + nbd @ np.cos(_NPI * tau), y4[0::2], out=f4[1::2])
-            return f
-
-        y0 = np.outer((1.0, 0.0, 0.0, 1.0), np.ones(na.size))
-        sol = solve_lanes(rhs, 0.0, 1.0, y0, tol, max_steps)
+        nonlocal residual
+        na, nbd = neg_a[lanes], neg_bd[lanes].T
+        sol = solve_hill_lanes(lambda taus: na + np.cos(np.multiply.outer(taus, _NPI)) @ nbd,
+                               na.size, tol, max_steps)
         if sol.failure is None:
-            u1, du1, u2, du2 = sol.y
+            u1, u2, du1, du2 = sol.y
             trace.flat[live[lanes]] = 2.0 * (u1 * du2 + du1 * u2)
+            residual = max(residual, float(np.abs(u1 * du2 - du1 * u2 - 1.0).max()))
         return sol
 
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing lane reads NaN
         runs = [solve(slice(None))]
         if runs[0].failure is not None:
             runs += [solve(slice(i, i + 1)) for i in range(live.size)]
-    return LaneTraces(trace, sum(r.steps for r in runs), sum(r.rhs_evals for r in runs))
+    return LaneTraces(trace, sum(r.steps for r in runs), sum(r.rhs_evals for r in runs), residual)
 
 
 class ExactLine(enum.Enum):

@@ -9,6 +9,11 @@ systems stepped together, each with its own error norm (Hairer, Norsett &
 Wanner, *Solving ODEs I*, II.10); their failure is reported, not raised,
 so the caller can retry lanes singly.  ``solve_final`` (under
 ``monodromy``, the reference path) is one lane of it whose failure raises.
+``solve_hill_lanes`` (under ``hill.lane_traces``) takes the same steps for
+the linear lanes u'' = c(tau) u on its own loop with scipy's DOP853
+tableau and controller: all stage times of a step are known when it
+starts (II.4), so one coefficient table per step replaces twelve calls of
+a general right-hand side.
 ``solve_sampled`` runs the beam's long trajectories on the compiled DOP853
 (scipy's ``ode``), one call per sample time, so only the right-hand side
 and a step counter run in Python and every row is an integrated value.
@@ -17,6 +22,7 @@ and a step counter run in Python and every row is an integrated value.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -94,23 +100,26 @@ def solve_sampled(
 _TINY = np.finfo(float).tiny
 
 
+def _lane_error_norm(K, h, scale, m):
+    """The largest of scipy's DOP853 error norms taken over each lane's own m
+    components of the flat, component-major stages ``K``."""
+    err5 = ((np.dot(K.T, DOP853.E5) / scale).reshape(m, -1) ** 2).sum(axis=0)
+    err3 = ((np.dot(K.T, DOP853.E3) / scale).reshape(m, -1) ** 2).sum(axis=0)
+    # both sums vanish together only for an exact step, whose norm is 0
+    denom = np.maximum(err5 + 0.01 * err3, _TINY)
+    return float((abs(h) * err5 / np.sqrt(denom * m)).max())
+
+
 class _LaneDOP853(DOP853):
     """DOP853 over n lanes of m components held as one flat, component-major
-    state (an (m, n) array raveled).  The error norm of a step is the
-    largest of scipy's DOP853 norms taken over each lane's own m
-    components."""
+    state (an (m, n) array raveled), with the per-lane error norm."""
 
     def __init__(self, fun, t0, y0, t_bound, m, **options):
         self.lane_size = m
         super().__init__(fun, t0, y0, t_bound, **options)
 
     def _estimate_error_norm(self, K, h, scale):
-        m = self.lane_size
-        err5 = ((np.dot(K.T, self.E5) / scale).reshape(m, -1) ** 2).sum(axis=0)
-        err3 = ((np.dot(K.T, self.E3) / scale).reshape(m, -1) ** 2).sum(axis=0)
-        # both sums vanish together only for an exact step, whose norm is 0
-        denom = np.maximum(err5 + 0.01 * err3, _TINY)
-        return float((abs(h) * err5 / np.sqrt(denom * m)).max())
+        return _lane_error_norm(K, h, scale, self.lane_size)
 
 
 @dataclass(frozen=True)
@@ -167,3 +176,90 @@ def solve_lanes(
         elif solver.status == "failed":
             failure = f"step size underflow at t={solver.t}"
     return LaneSolution(solver.y.reshape(y0.shape), steps, solver.nfev, failure)
+
+
+def _rms(x: np.ndarray) -> float:
+    return np.linalg.norm(x) / x.size**0.5
+
+
+# stage times of a step from t in units of h (stages 1..11, then t + h), the
+# tableau rows that combine the earlier stages, and the controller's exponent
+_STAGE_C = np.append(DOP853.C[1:], 1.0)
+_ROWS = [DOP853.A[s, :s] for s in range(DOP853.n_stages)] + [DOP853.B]
+_EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
+
+
+def solve_hill_lanes(
+    coef: Callable[[np.ndarray], np.ndarray],
+    lanes: int,
+    tol: float,
+    max_steps: int = DEFAULT_MAX_STEPS,
+) -> LaneSolution:
+    """Principal solutions of u'' = c_i(tau) u, tau from 0 to 1, for lanes i.
+
+    ``coef(taus)`` returns every lane's c at the times ``taus``, shape
+    (len(taus), lanes).  ``y`` has rows u1, u2, u1', u2', one column per
+    lane.  The steps are ``solve_lanes``' on this right-hand side, with
+    scipy's DOP853 tableau, initial step, controller and per-lane error
+    norm, so the step and right-hand-side counts are the same and the
+    traces agree within rounding.  An attempted step takes c at all its
+    stage times from one ``coef`` call, so a stage is a dot, an axpy, a
+    copy (u' = v) and a multiply (v' = c u).
+    """
+    tol = _check_tol(tol)
+    n2, last = 2 * lanes, DOP853.n_stages
+    y = np.repeat([1.0, 0.0, 0.0, 1.0], lanes)  # u1, u2, u1', u2' at tau = 0
+    K = np.empty((last + 1, y.size))
+    KT = [K[:s].T for s in range(last + 1)]
+    # the u' and v' halves of each stage
+    du, dv = [k[:n2] for k in K], [k[n2:].reshape(2, lanes) for k in K]
+    ys = np.empty_like(y)  # the state of a stage, with its v and u views
+    ys_v, ys_u = ys[n2:], ys[:n2].reshape(2, lanes)
+
+    def stage(s, c, y):  # K[s] = (v, c u) at the state y
+        du[s][:] = y[n2:]
+        np.multiply(c, y[:n2].reshape(2, lanes), out=dv[s])
+
+    # scipy's initial step over the flat batch, with its two right-hand sides
+    scale = tol + np.abs(y) * tol
+    stage(0, coef(np.zeros(1)), y)
+    d0, d1 = _rms(y / scale), _rms(K[0] / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, 1.0)
+    stage(1, coef(np.full(1, h0)), y + h0 * K[0])
+    d2 = _rms((K[1] - K[0]) / scale) / h0
+    h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
+          else (0.01 / max(d1, d2)) ** -_EXPONENT)
+    h_abs, t, steps, attempts, failure = min(100 * h0, h1, 1.0), 0.0, 0, 0, None
+    if not np.isfinite(K[0]).all():
+        failure = "non-finite derivative at t0=0.0"
+    while failure is None and t < 1.0:
+        min_step = 10 * math.ulp(t)
+        h_abs, rejected, accepted = max(h_abs, min_step), False, False
+        while not accepted and h_abs >= min_step:
+            t_new = min(t + h_abs, 1.0)
+            h = h_abs = t_new - t
+            table = coef(t + _STAGE_C * h)
+            for s in range(1, last):  # stage(s, table[s - 1], dot * h + y), in place
+                np.dot(KT[s], _ROWS[s], out=ys)
+                ys *= h
+                ys += y
+                du[s][:] = ys_v
+                np.multiply(table[s - 1], ys_u, out=dv[s])
+            y_new = h * np.dot(KT[last], _ROWS[last]) + y
+            stage(last, table[-1], y_new)
+            attempts += 1
+            norm = _lane_error_norm(K, h, tol + np.maximum(np.abs(y), np.abs(y_new)) * tol, 4)
+            factor = 10.0 if norm == 0 else 0.9 * norm**_EXPONENT
+            if norm < 1:
+                h_abs *= min(10.0, factor, 1.0 if rejected else 10.0)
+                t, y, accepted = t_new, y_new, True
+                K[0] = K[last]
+            else:
+                h_abs *= max(0.2, factor)
+                rejected = True
+        steps += 1
+        if steps > max_steps:
+            failure = f"step cap {max_steps} exceeded at t={t}"
+        elif not accepted:
+            failure = f"step size underflow at t={t}"
+    return LaneSolution(y.reshape(4, lanes), steps, 2 + last * attempts, failure)

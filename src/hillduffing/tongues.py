@@ -122,15 +122,16 @@ def _line(plane: Plane, delta, ys, tol: float) -> np.ndarray:
 
 
 def _scan_block(task: tuple[np.ndarray, np.ndarray, Plane, float, float]
-                ) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Traces, class codes, steps and right-hand-side calls of a block of
-    consecutive grid columns (deltas ``xs``), integrated as one batch of lanes."""
+                ) -> tuple[np.ndarray, np.ndarray, int, int, float]:
+    """Traces, class codes, steps, right-hand-side calls and Wronskian residual
+    of a block of consecutive grid columns (deltas ``xs``), integrated as one
+    batch of lanes."""
     xs, ys, plane, tol, tol_boundary = task
     lanes = lane_traces(xs[:, None], *plane.lane_pair(ys), tol=tol)
     codes = [FAILED_CODE if math.isnan(t) else _CLASS_CODE[classify_trace(t, tol_boundary)]
              for t in lanes.trace.ravel().tolist()]
     return (lanes.trace, np.array(codes, dtype=np.int8).reshape(lanes.trace.shape),
-            lanes.steps, lanes.rhs_evals)
+            lanes.steps, lanes.rhs_evals, lanes.det_residual)
 
 
 @dataclass
@@ -185,7 +186,8 @@ def scan(
     whose integration fails alone are recorded as NaN; the scan itself
     never aborts.  ``meta`` adds the number of lane batches ``blocks``, the
     summed integration ``steps`` and right-hand-side calls ``rhs_evals``
-    (each covering a whole block) and ``failed_cells``.
+    (each covering a whole block), the largest Wronskian residual
+    ``det_residual_max`` (``hill.LaneTraces``) and ``failed_cells``.
     """
     xs = axis_values(*x_range, resolution[0])
     ys = axis_values(*y_range, resolution[1])
@@ -206,6 +208,7 @@ def scan(
         "blocks": len(results),
         "steps": sum(r[2] for r in results),
         "rhs_evals": sum(r[3] for r in results),
+        "det_residual_max": max(r[4] for r in results),
         "failed_cells": int(np.count_nonzero(classification == FAILED_CODE)),
     }
     return StabilityGrid(plane, xs, ys, trace, classification, meta)

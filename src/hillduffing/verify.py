@@ -78,17 +78,28 @@ def _trace(delta: float, gamma: float) -> float:
 
 
 def suite_exact_lines() -> list:
-    rows = [(f"trace at delta={delta}, {tag}", functools.partial(_trace, delta, gamma),
-             _near(target, 1e-5))
-            for delta in (0.5, 1.0, 2.0)
-            for gamma, target, tag in ((1.0, -2.0, "offset 1"),
-                                       (1.0 + delta * delta / 2.0, -2.0, "upper parabola"),
-                                       (-(delta * delta) / 2.0, 2.0, "lower parabola"))]
+    points = [(delta, gamma, target, tag)
+              for delta in (0.5, 1.0, 2.0)
+              for gamma, target, tag in ((1.0, -2.0, "offset 1"),
+                                         (1.0 + delta * delta / 2.0, -2.0, "upper parabola"),
+                                         (-(delta * delta) / 2.0, 2.0, "lower parabola"))]
+    delta, gamma, target = np.array([p[:3] for p in points]).T
+    rows = [(f"trace at delta={d}, {tag}", functools.partial(_trace, d, g), _near(t, 1e-5))
+            for d, g, t, tag in points]
     return rows + [(f"closed-form residual {kind.value}",
                     functools.partial(hill.exact_solution_residual, kind, 0.5,
                                       np.linspace(0.0, 4.0, 40)),
                     _at_most("1e-9"))
-                   for kind in hill.ExactLine]
+                   for kind in hill.ExactLine] + [
+        # gamma-plane lanes are (a, b) = (gamma, 1)
+        ("lane kernel on the exact lines",
+         lambda: float(np.abs(hill.lane_traces(delta, gamma, 1.0).trace - target).max()),
+         _at_most("1e-8", "max |error| ")),
+        ("Wronskian residual of a 21x41 gamma block",
+         lambda: hill.lane_traces(np.linspace(0.05, 3.0, 21)[:, None],
+                                  np.linspace(-2.0, 6.0, 41), 1.0).det_residual,
+         _at_most("1e-9")),
+    ]
 
 
 def suite_criteria() -> list:
