@@ -252,17 +252,25 @@ _TERMS = 13  # the nome is at most e^-pi for k <= 1/sqrt(2): n <= 12 reach round
 _NPI = math.pi * np.arange(_TERMS)
 
 
-def _cn2_series(delta: float) -> tuple[float, np.ndarray]:
+def _cn2_series(delta):
     """Half period h = K(k) / sqrt(1 + delta^2) of delta^2 cn^2(sqrt(1 + delta^2) s, k), and
-    the D_n of h^2 delta^2 cn^2(K tau, k) = sum D_n cos(n pi tau), tau = s / h (DLMF 22.11.13)."""
-    k = DuffingParams(delta).modulus
-    K = elliptic.complete_K(k)
-    kp = math.sqrt((1.0 - k) * (1.0 + k))  # is 1 only for |delta| < 1e-8, where q < 1e-17
-    q = math.exp(-math.pi * elliptic.complete_K(kp) / K) if kp < 1.0 else 0.0
-    n = np.arange(1, _TERMS)
+    the D_n of h^2 delta^2 cn^2(K tau, k) = sum D_n cos(n pi tau), tau = s / h (DLMF 22.11.13).
+    For a float, h is a float and D has shape (13,); for an array of U deltas, h has
+    shape (U,) and D shape (U, 13), each row bit for bit what its float gives."""
+    if np.ndim(delta) == 0:
+        h, d = _cn2_series(np.array([delta], dtype=float))
+        return float(h[0]), d[0]
+    delta = np.asarray(delta, dtype=float)
+    K, q = np.empty(delta.size), np.empty(delta.size)
+    for i, x in enumerate(delta.tolist()):  # math.exp: np.exp may round otherwise
+        k = DuffingParams(x).modulus
+        K[i] = elliptic.complete_K(k)
+        kp = math.sqrt((1.0 - k) * (1.0 + k))  # is 1 only for |delta| < 1e-8, where q < 1e-17
+        q[i] = math.exp(-math.pi * elliptic.complete_K(kp) / K[i]) if kp < 1.0 else 0.0
+    n, q = np.arange(1, _TERMS), q[:, None]
     d = 4.0 * math.pi**2 * n * q**n / (1.0 - q ** (2 * n))
-    h = K / math.sqrt(1.0 + delta * delta)
-    return h, np.concatenate(([h * h * delta * delta - d.sum()], d))  # as cn(0) = 1
+    h = K / np.sqrt(1.0 + delta * delta)
+    return h, np.column_stack((h * h * delta * delta - d.sum(axis=1), d))  # as cn(0) = 1
 
 
 def lane_traces(delta, a, b, tol: float = DEFAULT_TOL,
@@ -273,14 +281,16 @@ def lane_traces(delta, a, b, tol: float = DEFAULT_TOL,
 
     Lane i runs in its own time tau = s / h_i, h_i half its coefficient's
     period, in which the coefficient is h_i^2 a_i plus b_i times a series
-    in the basis cos(n pi tau) that all lanes share (``_cn2_series``), so
-    the coefficients at all stage times of a step are one cosine table and
-    one matrix product.  The coefficient is even, so the principal
-    solutions u1, u2 give the trace 2 (u1 u2' + u1' u2) at tau = 1 (Magnus &
-    Winkler, *Hill's Equation*, 1966).  The lanes step together on the
-    linear DOP853 loop ``integrate.solve_hill_lanes``, with scipy's tableau,
-    controller and a per-lane error norm; ``det_residual`` is the largest
-    drift of the Wronskian u1 u2' - u1' u2 from 1 over the finished lanes.
+    in the basis cos(n pi tau) that all lanes share (``_cn2_series``, taken
+    once per batch over its distinct deltas), so the coefficients at all
+    stage times of a step are one cosine table and one matrix product.  The
+    coefficient is even, so the principal solutions u1, u2 give the trace
+    2 (u1 u2' + u1' u2) at tau = 1 (Magnus & Winkler, *Hill's Equation*,
+    1966).  The lanes step together on the linear DOP853 loop
+    ``integrate.solve_hill_lanes`` (in Runge-Kutta-Nystrom form), with
+    scipy's tableau, controller and a per-lane error norm; ``det_residual``
+    is the largest drift of the Wronskian u1 u2' - u1' u2 from 1 over the
+    finished lanes.
     A lane with a delta ``DuffingParams`` rejects or a non-finite a_i or b_i
     gets NaN and takes no part in the step-size control.  After a step-cap
     or underflow failure every lane is integrated again alone, and one that
@@ -295,7 +305,7 @@ def lane_traces(delta, a, b, tol: float = DEFAULT_TOL,
     if not live.size:
         return LaneTraces(trace, 0, 0)
     uniq, where = np.unique(delta[live], return_inverse=True)
-    h, d = (np.array(v)[where] for v in zip(*map(_cn2_series, uniq.tolist())))
+    h, d = (v[where] for v in _cn2_series(uniq))
     neg_a, neg_bd = -h * h * a[live], -b[live, None] * d
     residual = 0.0
 

@@ -13,7 +13,9 @@ so the caller can retry lanes singly.  ``solve_final`` (under
 the linear lanes u'' = c(tau) u on its own loop with scipy's DOP853
 tableau and controller: all stage times of a step are known when it
 starts (II.4), so one coefficient table per step replaces twelve calls of
-a general right-hand side.
+a general right-hand side, and on a linear second-order system DOP853 is
+a Runge-Kutta-Nystrom method (II.14) whose stages follow from the
+accelerations alone, so a pair of stages is one product and one multiply.
 ``solve_sampled`` runs the beam's long trajectories on the compiled DOP853
 (scipy's ``ode``), one call per sample time, so only the right-hand side
 and a step counter run in Python and every row is an integrated value.
@@ -100,11 +102,11 @@ def solve_sampled(
 _TINY = np.finfo(float).tiny
 
 
-def _lane_error_norm(K, h, scale, m):
+def _lane_error_norm(err, h, scale, m):
     """The largest of scipy's DOP853 error norms taken over each lane's own m
-    components of the flat, component-major stages ``K``."""
-    err5 = ((np.dot(K.T, DOP853.E5) / scale).reshape(m, -1) ** 2).sum(axis=0)
-    err3 = ((np.dot(K.T, DOP853.E3) / scale).reshape(m, -1) ** 2).sum(axis=0)
+    components; ``err`` holds the flat, component-major E5 and E3 sums of
+    the stages as its two rows."""
+    err5, err3 = ((err / scale).reshape(2, m, -1) ** 2).sum(axis=1)
     # both sums vanish together only for an exact step, whose norm is 0
     denom = np.maximum(err5 + 0.01 * err3, _TINY)
     return float((abs(h) * err5 / np.sqrt(denom * m)).max())
@@ -119,7 +121,8 @@ class _LaneDOP853(DOP853):
         super().__init__(fun, t0, y0, t_bound, **options)
 
     def _estimate_error_norm(self, K, h, scale):
-        return _lane_error_norm(K, h, scale, self.lane_size)
+        err = np.array([np.dot(K.T, self.E5), np.dot(K.T, self.E3)])
+        return _lane_error_norm(err, h, scale, self.lane_size)
 
 
 @dataclass(frozen=True)
@@ -182,10 +185,36 @@ def _rms(x: np.ndarray) -> float:
     return np.linalg.norm(x) / x.size**0.5
 
 
-# stage times of a step from t in units of h (stages 1..11, then t + h), the
-# tableau rows that combine the earlier stages, and the controller's exponent
+def _nystrom_tableau():
+    """DOP853 on u'' = c(t) u in Runge-Kutta-Nystrom form (Hairer, Norsett &
+    Wanner, II.14): U_s = u + h (sum_k a_sk) v + h^2 (a^2)_s F, F_j = c U_j,
+    with stage n the step's end (row B, time 1).  Returns the levels, runs
+    [s0, s1) of stages that use F of earlier levels only, the weights W0,
+    W1, W2 (W0 + h W1 + h^2 W2 on [u; v; F_0 .. F_n]) of U_1 .. U_n, v_new
+    and the E5 and E3 sums (u and v halves), and scipy's stage sums on F."""
+    n = DOP853.n_stages
+    a = np.zeros((n + 1, n + 1))
+    a[:n, :n], a[n, :n] = DOP853.A, DOP853.B
+    uses, level = np.einsum("ij,jk", a != 0, a != 0), [0]  # einsum: no BLAS at import
+    for s in range(1, n + 1):
+        level.append(1 + max((level[j] for j in np.flatnonzero(uses[s])), default=0))
+    starts = [s for s in range(1, n + 1) if level[s] != level[s - 1]] + [n + 1]
+    # the v weights are exact sums, so v cancels as it does in exact arithmetic
+    w = np.zeros((3, n + 5, n + 3))
+    w[0, :n, 0], w[1, :n, 1] = 1.0, [*map(math.fsum, a[1:])]
+    w[2, :n, 2:] = np.einsum("ij,jk", a, a)[1:]
+    w[0, n, 1], w[1, n, 2:] = 1.0, a[n]
+    for r, e in ((n + 1, DOP853.E5), (n + 3, DOP853.E3)):  # E K = ((sum E) v + h E a F; E F)
+        w[0, r, 1], w[1, r, 2:], w[0, r + 1, 2:] = math.fsum(e), np.einsum("i,ij", e, a), e
+    return list(zip(starts, starts[1:])), w, a[1:, :n]
+
+
+# the levels, step weights and stage sums, the largest |F| at which no stage
+# sum can overflow, the stage times of a step from t in units of h (stages
+# 1..12), and the controller's exponent
+_LEVELS, _WEIGHTS, _STAGE_SUMS = _nystrom_tableau()
+_F_SAFE = 1e300 / np.abs(_STAGE_SUMS).sum(axis=1).max()
 _STAGE_C = np.append(DOP853.C[1:], 1.0)
-_ROWS = [DOP853.A[s, :s] for s in range(DOP853.n_stages)] + [DOP853.B]
 _EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
 
 
@@ -200,37 +229,45 @@ def solve_hill_lanes(
     ``coef(taus)`` returns every lane's c at the times ``taus``, shape
     (len(taus), lanes).  ``y`` has rows u1, u2, u1', u2', one column per
     lane.  The steps are ``solve_lanes``' on this right-hand side, with
-    scipy's DOP853 tableau, initial step, controller and per-lane error
-    norm, so the step and right-hand-side counts are the same and the
-    traces agree within rounding.  An attempted step takes c at all its
-    stage times from one ``coef`` call, so a stage is a dot, an axpy, a
-    copy (u' = v) and a multiply (v' = c u).
+    scipy's DOP853 initial step, controller and per-lane error norm, so the
+    step and right-hand-side counts are the same and the traces agree within
+    rounding.  A step is DOP853 in Nystrom form (``_nystrom_tableau``): c at
+    all its stage times comes from one ``coef`` call, its weights from one
+    product, each level of stages is one product with the rows [u; v; F_0
+    ..] and one multiply by its coefficients, and the end state and error
+    estimates are one more product.  As in scipy, a step whose stage sums A
+    F are not finite is rejected.  Where a lane's error estimate is rounding
+    noise and sets the step (a lane that overflows or nearly does), the
+    rounding differs from scipy's and the batch can take a step or two more
+    or fewer.
     """
     tol = _check_tol(tol)
-    n2, last = 2 * lanes, DOP853.n_stages
-    y = np.repeat([1.0, 0.0, 0.0, 1.0], lanes)  # u1, u2, u1', u2' at tau = 0
-    K = np.empty((last + 1, y.size))
-    KT = [K[:s].T for s in range(last + 1)]
-    # the u' and v' halves of each stage
-    du, dv = [k[:n2] for k in K], [k[n2:].reshape(2, lanes) for k in K]
-    ys = np.empty_like(y)  # the state of a stage, with its v and u views
-    ys_v, ys_u = ys[n2:], ys[:n2].reshape(2, lanes)
-
-    def stage(s, c, y):  # K[s] = (v, c u) at the state y
-        du[s][:] = y[n2:]
-        np.multiply(c, y[:n2].reshape(2, lanes), out=dv[s])
+    n, n2 = DOP853.n_stages, 2 * lanes
+    g = np.zeros((n + 3, n2))  # the rows u, v, F_0 .. F_n, each (2, lanes)
+    g[0, :lanes] = g[1, lanes:] = 1.0  # u1 = u2' = 1 at tau = 0
+    # the U rows of the last level (u_new last), v_new and the E5 and E3 sums
+    # (u and v halves); the other levels put U in their F rows
+    k = n + 1 - _LEVELS[-1][0]
+    rows, w = np.empty((k + 5, n2)), np.empty(_WEIGHTS.shape[1:])
+    y, y_new, f0, f = g[:2].ravel(), rows[k - 1:k + 1].ravel(), g[1:3].ravel(), g[2:n + 2]
+    err = rows[k + 1:].reshape(2, -1)
+    levels = [(w[s0 - 1:s1 - 1, :s0 + 2], g[:s0 + 2], u, slice(s0 - 1, s1 - 1),
+               u.reshape(-1, 2, lanes), g[s0 + 2:s1 + 2].reshape(-1, 2, lanes))
+              for s0, s1 in _LEVELS for u in [rows[:k] if s1 > n else g[s0 + 2:s1 + 2]]]
+    w_end, ends, weights = w[n:], rows[k:], _WEIGHTS.reshape(3, -1)
 
     # scipy's initial step over the flat batch, with its two right-hand sides
     scale = tol + np.abs(y) * tol
-    stage(0, coef(np.zeros(1)), y)
-    d0, d1 = _rms(y / scale), _rms(K[0] / scale)
+    np.multiply(coef(np.zeros(1)), g[0].reshape(2, lanes), out=g[2].reshape(2, lanes))
+    d0, d1 = _rms(y / scale), _rms(f0 / scale)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, 1.0)
-    stage(1, coef(np.full(1, h0)), y + h0 * K[0])
-    d2 = _rms((K[1] - K[0]) / scale) / h0
+    y1 = y + h0 * f0
+    f1 = np.concatenate((y1[n2:], (coef(np.full(1, h0)) * y1[:n2].reshape(2, lanes)).ravel()))
+    d2 = _rms((f1 - f0) / scale) / h0
     h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
           else (0.01 / max(d1, d2)) ** -_EXPONENT)
     h_abs, t, steps, attempts, failure = min(100 * h0, h1, 1.0), 0.0, 0, 0, None
-    if not np.isfinite(K[0]).all():
+    if not np.isfinite(f0).all():
         failure = "non-finite derivative at t0=0.0"
     while failure is None and t < 1.0:
         min_step = 10 * math.ulp(t)
@@ -238,22 +275,21 @@ def solve_hill_lanes(
         while not accepted and h_abs >= min_step:
             t_new = min(t + h_abs, 1.0)
             h = h_abs = t_new - t
-            table = coef(t + _STAGE_C * h)
-            for s in range(1, last):  # stage(s, table[s - 1], dot * h + y), in place
-                np.dot(KT[s], _ROWS[s], out=ys)
-                ys *= h
-                ys += y
-                du[s][:] = ys_v
-                np.multiply(table[s - 1], ys_u, out=dv[s])
-            y_new = h * np.dot(KT[last], _ROWS[last]) + y
-            stage(last, table[-1], y_new)
+            table = coef(t + _STAGE_C * h)[:, None]
+            np.dot((1.0, h, h * h), weights, out=w.reshape(-1))
+            for w_level, g_used, u_level, at, u_3d, f_level in levels:  # F = c U by level
+                np.dot(w_level, g_used, out=u_level)
+                np.multiply(table[at], u_3d, out=f_level)
+            np.dot(w_end, g, out=ends)
             attempts += 1
-            norm = _lane_error_norm(K, h, tol + np.maximum(np.abs(y), np.abs(y_new)) * tol, 4)
+            scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
+            overflow = not np.abs(f).max() < _F_SAFE and not np.isfinite(_STAGE_SUMS @ f).all()
+            norm = math.inf if overflow else _lane_error_norm(err, h, scale, 4)
             factor = 10.0 if norm == 0 else 0.9 * norm**_EXPONENT
             if norm < 1:
                 h_abs *= min(10.0, factor, 1.0 if rejected else 10.0)
-                t, y, accepted = t_new, y_new, True
-                K[0] = K[last]
+                t, accepted = t_new, True
+                g[:2], g[2] = rows[k - 1:k + 1], g[n + 2]
             else:
                 h_abs *= max(0.2, factor)
                 rejected = True
@@ -262,4 +298,4 @@ def solve_hill_lanes(
             failure = f"step cap {max_steps} exceeded at t={t}"
         elif not accepted:
             failure = f"step size underflow at t={t}"
-    return LaneSolution(y.reshape(4, lanes), steps, 2 + last * attempts, failure)
+    return LaneSolution(y.reshape(4, lanes), steps, 2 + n * attempts, failure)
