@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .duffing import DuffingParams, period
-from .errors import DomainError, require_count
+from .errors import DomainError, require_count, require_in
 from .hill import DEFAULT_TOL, DEFAULT_TOL_BOUNDARY, Plane, Stability, classify_trace
 from .hill import monodromy  # noqa: F401  (bench/spans.py patches beam.monodromy)
 from .integrate import solve_sampled
@@ -143,14 +143,11 @@ def simulate(
     ``samples`` rows for output.
     """
     params = DuffingParams(delta, pair.omega)
-    if not 0.0 < z_ratio <= 0.1:
-        raise DomainError(f"z_ratio must lie in (0, 0.1], got {z_ratio!r}")
+    require_in("z_ratio", z_ratio, 0.0, 0.1, "(]")
     if horizon is None:
         horizon = 50.0 * period(params)
-    if not 0.0 < horizon < math.inf:
-        raise DomainError(f"horizon must be finite and positive, got {horizon!r}")
-    if not 1.0 < growth_factor < math.inf:
-        raise DomainError(f"growth_factor must be finite and > 1, got {growth_factor!r}")
+    require_in("horizon", horizon, 0.0, math.inf)
+    require_in("growth_factor", growth_factor, 1.0, math.inf)
     samples = require_count("samples", samples, 1)
 
     # sample densely enough to resolve the fast mode's envelope

@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass
 
 from . import elliptic
-from .errors import DomainError
+from .errors import DomainError, require_in
 
 _DELTA_MAX = math.sqrt(sys.float_info.max / 2.0)  # the largest delta with 2 (1 + delta^2) finite
 
@@ -39,8 +39,7 @@ class DuffingParams:
     def __post_init__(self) -> None:
         if not valid_amplitude(self.delta):
             raise DomainError(f"delta must be nonzero, 2 (1 + delta^2) finite, got {self.delta!r}")
-        if not (self.omega > 0.0) or not math.isfinite(self.omega):
-            raise DomainError(f"omega must be positive, got {self.omega!r}")
+        require_in("omega", self.omega, 0.0, math.inf)
 
     @property
     def modulus(self) -> float:

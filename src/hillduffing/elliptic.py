@@ -14,7 +14,7 @@ import math
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, require_finite, require_in
 
 _EPS = 2.220446049250313e-16
 _MAX_AGM_ITER = 64
@@ -32,13 +32,6 @@ class JacobiTriple(NamedTuple):
     dn: float
 
 
-def _check_modulus(k: float) -> float:
-    k = float(k)
-    if math.isnan(k) or k < 0.0 or k >= 1.0:
-        raise DomainError(f"elliptic modulus must satisfy 0 <= k < 1, got {k!r}")
-    return k
-
-
 def complete_K(k: float) -> float:
     """Complete elliptic integral of the first kind, K(k) = pi / (2 agm(1, k')).
 
@@ -46,7 +39,7 @@ def complete_K(k: float) -> float:
     |a - b| <= 4 eps a (about five iterations for the moduli used here).
     Relative error is at the rounding level, far inside the 1e-13 contract.
     """
-    return _descent(_check_modulus(k))[0]
+    return _descent(require_in("k", k, 0.0, 1.0, "[)"))[0]
 
 
 @lru_cache(maxsize=4096)
@@ -86,10 +79,9 @@ def jacobi(u: float, k: float) -> JacobiTriple:
     JacobiTriple
         Componentwise accurate to ~1e-12 for |u| <= 100, k <= 0.71.
     """
-    k = _check_modulus(k)
+    k = require_in("k", k, 0.0, 1.0, "[)")
     u = float(u)
-    if math.isnan(u) or math.isinf(u):
-        raise DomainError(f"jacobi argument must be finite, got {u!r}")
+    require_finite(u=u)
     if k == 0.0:
         # degenerate Landen descent; trigonometric limit is exact
         return JacobiTriple(math.sin(u), math.cos(u), 1.0)

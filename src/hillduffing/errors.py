@@ -1,5 +1,6 @@
 """Exception types shared across the library, and the argument checks that raise
-them: ``require_finite`` for real values and ``require_count`` for integer ones."""
+them, each message led by the argument's name: ``require_finite`` and
+``require_in`` (an interval) for real values, ``require_count`` for integer ones."""
 
 import math
 
@@ -30,3 +31,12 @@ def require_count(name: str, value, minimum: int) -> int:
     if value % 1 != 0 or not minimum <= value <= 2**53:  # the first also true for nan and inf
         raise DomainError(f"{name} must be an integer >= {minimum} and <= 2^53, got {value!r}")
     return int(value)
+
+
+def require_in(name: str, value, lo: float, hi: float, ends: str = "()") -> float:
+    """``float(value)``, or a ``DomainError`` naming ``name`` unless ``value`` lies in the
+    interval from ``lo`` to ``hi``; ``ends``, one of ``"()"``, ``"[)"``, ``"(]"`` and ``"[]"``,
+    says which endpoints belong to it (NaN lies in none)."""
+    if lo < value < hi or (value == lo and ends[0] == "[") or (value == hi and ends[1] == "]"):
+        return float(value)
+    raise DomainError(f"{name} must lie in {ends[0]}{lo:g}, {hi:g}{ends[1]}, got {value!r}")

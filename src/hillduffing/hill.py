@@ -25,7 +25,7 @@ import numpy as np
 
 from . import elliptic
 from .duffing import DuffingParams, period, valid_amplitude
-from .errors import DomainError, require_finite
+from .errors import DomainError, require_finite, require_in
 from .integrate import DEFAULT_MAX_STEPS, _check_tol, solve_final, solve_hill_lanes
 
 DEFAULT_TOL = 1e-10
@@ -56,8 +56,7 @@ class PeriodicCoefficient:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.period < math.inf:
-            raise DomainError(f"period must be finite and positive, got {self.period!r}")
+        require_in("period", self.period, 0.0, math.inf)
 
     def __call__(self, t: float) -> float:
         return self.func(t)
@@ -177,8 +176,7 @@ def mathieu_coefficient(a: float, q: float) -> PeriodicCoefficient:
 def classify_trace(trace: float, tol_boundary: float = DEFAULT_TOL_BOUNDARY) -> Stability:
     """Classify a monodromy trace against the |trace| = 2 resonance level,
     with a boundary band of half-width ``tol_boundary`` in [0, 2)."""
-    if not 0.0 <= tol_boundary < 2.0:
-        raise DomainError(f"tol_boundary must lie in [0, 2), got {tol_boundary!r}")
+    require_in("tol_boundary", tol_boundary, 0.0, 2.0, "[)")
     if math.isnan(trace):
         raise DomainError("trace is NaN")
     if abs(trace) < 2.0 - tol_boundary:
@@ -237,10 +235,10 @@ def monodromy(
 
 @dataclass(frozen=True)
 class LaneTraces:
-    """Monodromy traces of a batch of lanes (NaN where a lane failed), the
-    integration work summed over every attempt, and the largest Wronskian
-    residual |u1 u2' - u1' u2 - 1| at tau = 1 over the lanes that finished
-    (the system is trace-free, so it is an integration error estimate)."""
+    """Monodromy traces of a batch of lanes (NaN where a lane failed, +-inf where
+    one overflowed), the integration work summed over every attempt, and the
+    largest finite Wronskian residual |u1 u2' - u1' u2 - 1| at tau = 1 over the
+    finished lanes (the system is trace-free, so it is an error estimate)."""
 
     trace: np.ndarray
     steps: int
@@ -289,8 +287,8 @@ def lane_traces(delta, a, b, tol: float = DEFAULT_TOL,
     1966).  The lanes step together on the linear DOP853 loop
     ``integrate.solve_hill_lanes`` (in Runge-Kutta-Nystrom form), with
     scipy's tableau, controller and a per-lane error norm; ``det_residual``
-    is the largest drift of the Wronskian u1 u2' - u1' u2 from 1 over the
-    finished lanes.
+    is the largest finite drift of the Wronskian u1 u2' - u1' u2 from 1 over
+    the finished lanes (one that overflows reads +-inf, its drift not finite).
     A lane with a delta ``DuffingParams`` rejects or a non-finite a_i or b_i
     gets NaN and takes no part in the step-size control.  After a step-cap
     or underflow failure every lane is integrated again alone, and one that
@@ -317,10 +315,11 @@ def lane_traces(delta, a, b, tol: float = DEFAULT_TOL,
         if sol.failure is None:
             u1, u2, du1, du2 = sol.y
             trace.flat[live[lanes]] = 2.0 * (u1 * du2 + du1 * u2)
-            residual = max(residual, float(np.abs(u1 * du2 - du1 * u2 - 1.0).max()))
+            drift = np.abs(u1 * du2 - du1 * u2 - 1.0)
+            residual = max(residual, float(drift[np.isfinite(drift)].max(initial=0.0)))
         return sol
 
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing lane reads NaN
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing lane reads +-inf
         runs = [solve(slice(None))]
         if runs[0].failure is not None:
             runs += [solve(slice(i, i + 1)) for i in range(live.size)]

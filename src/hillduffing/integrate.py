@@ -32,16 +32,13 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import DOP853, ode
 
-from .errors import DomainError, IntegrationFailure
+from .errors import IntegrationFailure, require_in
 
 DEFAULT_MAX_STEPS = 10_000_000
 
 
 def _check_tol(tol: float) -> float:
-    tol = float(tol)
-    if not 1e-12 <= tol <= 1e-6:
-        raise DomainError(f"tolerance tol must lie in [1e-12, 1e-6], got {tol!r}")
-    return tol
+    return require_in("tol", tol, 1e-12, 1e-6, "[]")
 
 
 def solve_final(

@@ -25,7 +25,8 @@ import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
 from .duffing import valid_amplitude
-from .errors import BracketNotFound, DomainError, IntegrationFailure, require_count, require_finite
+from .errors import (BracketNotFound, DomainError, IntegrationFailure, require_count,
+                     require_finite, require_in)
 from .hill import (
     DEFAULT_TOL,
     DEFAULT_TOL_BOUNDARY,
@@ -312,10 +313,8 @@ def trace_level_bracket(
         raise DomainError(f"need delta > 0 with 2 (1 + delta^2) finite, got {delta!r}")
     if threshold is None:
         threshold = 2.0 - DEFAULT_TOL_BOUNDARY
-    if not 0.0 < threshold <= 2.0:
-        raise DomainError(f"threshold must lie in (0, 2], got {threshold!r}")
-    if not 0.0 < bisect_tol < math.inf:
-        raise DomainError(f"bisect_tol must be finite and positive, got {bisect_tol!r}")
+    threshold = require_in("threshold", threshold, 0.0, 2.0, "(]")
+    require_in("bisect_tol", bisect_tol, 0.0, math.inf)
     samples = require_count("samples", samples, 2)
 
     y_floor = 1e-9 if plane is Plane.OMEGA else -math.inf
@@ -375,8 +374,7 @@ def trace_level_bracket(
 
     lower = crossing(-1)
     upper = crossing(+1)
-    return TongueBoundarySample(ell, float(delta), lower, upper,
-                                float(threshold), peak_y, peak_val)
+    return TongueBoundarySample(ell, float(delta), lower, upper, threshold, peak_y, peak_val)
 
 
 def asymptotic_classification(omega: float) -> AsymptoticClass:
@@ -387,9 +385,7 @@ def asymptotic_classification(omega: float) -> AsymptoticClass:
     The endpoints are the triangular numbers T_n = n(n+1)/2: I_S holds the
     gaps (T_n, T_{n+1}) with n even and I_U those with n odd.
     """
-    omega = float(omega)
-    if not (0.0 < omega < math.inf):
-        raise DomainError(f"need finite omega > 0, got {omega!r}")
+    omega = require_in("omega", omega, 0.0, math.inf)
     # largest n with T_n <= omega, exactly: T_n is an integer, so
     # T_n <= omega iff (2n+1)^2 <= 8 floor(omega) + 1
     n = (math.isqrt(8 * math.floor(omega) + 1) - 1) // 2
@@ -415,9 +411,7 @@ def crossing_count(omega: float) -> int:
     the tabulated range 0 < omega <= 7 is covered; omega = 1 lies on a
     resonant line for every delta and has no count.
     """
-    omega = float(omega)
-    if not (0.0 < omega <= 7.0):
-        raise DomainError(f"crossing table covers 0 < omega <= 7, got {omega!r}")
+    omega = require_in("omega", omega, 0.0, 7.0, "(]")
     count = _LINE_CROSSINGS.get(omega, _GAP_CROSSINGS[math.ceil(omega) - 1])
     if count is None:
         raise DomainError(f"omega = {omega!r} lies on a resonant line; no tabulated count")
@@ -446,15 +440,10 @@ def recount_crossings(
     4.5 rest on near misses within 2e-13 of |trace| = 2, inside the
     integration error.  The exact count is ROADMAP item 1.
     """
-    omega = float(omega)
-    if not 0.0 < omega < math.inf:
-        raise DomainError(f"need finite omega > 0, got {omega!r}")
-    if not 0.0 < coarse_step < math.inf:
-        raise DomainError(f"need finite coarse_step > 0, got {coarse_step!r}")
-    if not 0.0 <= delta_max < math.inf:
-        raise DomainError(f"need finite delta_max >= 0, got {delta_max!r}")
-    if not 0.0 <= near_band < 2.0:
-        raise DomainError(f"need near_band in [0, 2), got {near_band!r}")
+    omega = require_in("omega", omega, 0.0, math.inf)
+    require_in("coarse_step", coarse_step, 0.0, math.inf)
+    require_in("delta_max", delta_max, 0.0, math.inf, "[)")
+    require_in("near_band", near_band, 0.0, 2.0, "[)")
 
     def abs_trace(d: float) -> float:
         return abs(trace_at(Plane.OMEGA, d, omega, tol=integrator_tol))
