@@ -192,5 +192,6 @@ def mode_stability(
     equation of the omega plane at (delta, n^2/m^2), decided by its
     ``trace_at``, so the verdict is invariant under (m, n) -> (km, kn).
     """
+    classify_trace(0.0, tol_boundary)  # rejects a bad band before integrating
     return classify_trace(trace_at(Plane.OMEGA, delta, pair.omega, tol=tol), tol_boundary)
 

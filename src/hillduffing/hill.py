@@ -173,17 +173,24 @@ def mathieu_coefficient(a: float, q: float) -> PeriodicCoefficient:
     )
 
 
+_STABILITY = tuple(Stability)
+_FAILED_CODE = len(_STABILITY)  # the class code of a NaN trace
+
+
+def _class_codes(trace, tol_boundary: float):
+    """``trace``'s class as its index in ``Stability``, or ``_FAILED_CODE`` where it is NaN."""
+    band = require_in("tol_boundary", tol_boundary, 0.0, 2.0, "[)")
+    mag = abs(trace)  # mag == mag fails only for NaN; a float takes no numpy call
+    return _FAILED_CODE - (mag == mag) - 2 * (mag < 2.0 - band) - (mag > 2.0 + band)
+
+
 def classify_trace(trace: float, tol_boundary: float = DEFAULT_TOL_BOUNDARY) -> Stability:
-    """Classify a monodromy trace against the |trace| = 2 resonance level,
-    with a boundary band of half-width ``tol_boundary`` in [0, 2)."""
-    require_in("tol_boundary", tol_boundary, 0.0, 2.0, "[)")
-    if math.isnan(trace):
+    """Classify a monodromy trace against the |trace| = 2 resonance level, with a boundary
+    band of half-width ``tol_boundary`` in [0, 2); ``scan`` applies the same rule to a grid."""
+    code = _class_codes(trace, tol_boundary)
+    if code == _FAILED_CODE:
         raise DomainError("trace is NaN")
-    if abs(trace) < 2.0 - tol_boundary:
-        return Stability.STABLE
-    if abs(trace) > 2.0 + tol_boundary:
-        return Stability.UNSTABLE
-    return Stability.BOUNDARY
+    return _STABILITY[code]
 
 
 def multipliers_from_trace(trace: float) -> tuple[complex, complex]:
@@ -213,6 +220,7 @@ def monodromy(
         If the step count exceeds ``max_steps``, the step size
         underflows or the coefficient is not finite at t = 0.
     """
+    classify_trace(0.0, tol_boundary)  # rejects a bad band before integrating
     pf = p.func
 
     def rhs(t: float, y: np.ndarray):

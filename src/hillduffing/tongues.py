@@ -31,15 +31,13 @@ from .hill import (
     DEFAULT_TOL,
     DEFAULT_TOL_BOUNDARY,
     Plane,
-    Stability,
-    classify_trace,
+    _class_codes,
+    _FAILED_CODE as FAILED_CODE,
     lane_traces,
     monodromy,  # noqa: F401  (bench/spans.py patches tongues.monodromy)
 )
 
-CLASS_NAMES = {0: "stable", 1: "unstable", 2: "boundary", 3: "nan"}
-_CLASS_CODE = {Stability.STABLE: 0, Stability.UNSTABLE: 1, Stability.BOUNDARY: 2}
-FAILED_CODE = 3
+CLASS_NAMES = {0: "stable", 1: "unstable", 2: "boundary", FAILED_CODE: "nan"}
 _WALK_CHUNK = 8  # outward-walk candidates per lane batch
 _BLOCK_LANES = 2048  # about this many cells per grid task, in whole columns
 
@@ -122,17 +120,10 @@ def _line(plane: Plane, delta, ys, tol: float) -> np.ndarray:
     return trace
 
 
-def _scan_block(task: tuple[np.ndarray, np.ndarray, Plane, float, float]
-                ) -> tuple[np.ndarray, np.ndarray, int, int, float]:
-    """Traces, class codes, steps, right-hand-side calls and Wronskian residual
-    of a block of consecutive grid columns (deltas ``xs``), integrated as one
-    batch of lanes."""
-    xs, ys, plane, tol, tol_boundary = task
-    lanes = lane_traces(xs[:, None], *plane.lane_pair(ys), tol=tol)
-    codes = [FAILED_CODE if math.isnan(t) else _CLASS_CODE[classify_trace(t, tol_boundary)]
-             for t in lanes.trace.ravel().tolist()]
-    return (lanes.trace, np.array(codes, dtype=np.int8).reshape(lanes.trace.shape),
-            lanes.steps, lanes.rhs_evals, lanes.det_residual)
+def _scan_block(task: tuple[np.ndarray, np.ndarray, Plane, float]):
+    """The ``hill.LaneTraces`` of the block of grid columns ``xs`` by ``ys``, one batch."""
+    xs, ys, plane, tol = task
+    return lane_traces(xs[:, None], *plane.lane_pair(ys), tol=tol)
 
 
 @dataclass
@@ -185,19 +176,20 @@ def scan(
     bit for bit, and the output is byte-identical for any number of
     workers.  Cells whose coefficient is invalid (delta = 0, omega <= 0) or
     whose integration fails alone are recorded as NaN; the scan itself
-    never aborts.  ``meta`` adds the number of lane batches ``blocks``, the
+    never aborts.  The blocks return traces only: ``classify_trace``'s rule
+    then classifies the whole grid in one array comparison, NaN as "nan".
+    ``meta`` adds the number of lane batches ``blocks``, the
     summed integration ``steps`` and right-hand-side calls ``rhs_evals``
     (each covering a whole block), the largest Wronskian residual
     ``det_residual_max`` (``hill.LaneTraces``) and ``failed_cells``.
     """
     xs = axis_values(*x_range, resolution[0])
     ys = axis_values(*y_range, resolution[1])
-    classify_trace(0.0, tol_boundary)  # rejects a bad band up front
-    results = map_columns(_scan_block, xs, ys, workers,
-                          plane, float(integrator_tol), float(tol_boundary))
+    _class_codes(0.0, tol_boundary)  # rejects a bad band up front
+    results = map_columns(_scan_block, xs, ys, workers, plane, float(integrator_tol))
 
-    trace = np.concatenate([r[0] for r in results])
-    classification = np.concatenate([r[1] for r in results])
+    trace = np.concatenate([r.trace for r in results])
+    classification = _class_codes(trace, tol_boundary).astype(np.int8)
     meta = {
         "plane": plane.value,
         "x_range": [float(x_range[0]), float(x_range[1])],
@@ -207,9 +199,9 @@ def scan(
         "tol_boundary": float(tol_boundary),
         "level_threshold": 2.0 - float(tol_boundary),
         "blocks": len(results),
-        "steps": sum(r[2] for r in results),
-        "rhs_evals": sum(r[3] for r in results),
-        "det_residual_max": max(r[4] for r in results),
+        "steps": sum(r.steps for r in results),
+        "rhs_evals": sum(r.rhs_evals for r in results),
+        "det_residual_max": max(r.det_residual for r in results),
         "failed_cells": int(np.count_nonzero(classification == FAILED_CODE)),
     }
     return StabilityGrid(plane, xs, ys, trace, classification, meta)
@@ -448,7 +440,10 @@ def recount_crossings(
     def abs_trace(d: float) -> float:
         return abs(trace_at(Plane.OMEGA, d, omega, tol=integrator_tol))
 
-    deltas = np.arange(coarse_step, delta_max + 0.5 * coarse_step, coarse_step)
+    stop = delta_max + 0.5 * coarse_step
+    # np.arange makes ceil((stop - start) / step) points; count them before building them
+    require_count("coarse_step grid points", float(np.ceil((stop - coarse_step) / coarse_step)), 0)
+    deltas = np.arange(coarse_step, stop, coarse_step)
     abstr = np.abs(_line(Plane.OMEGA, deltas, omega, integrator_tol))
     extra = sum(_refine_peak(abs_trace, deltas[i - 1], deltas[i + 1], 1e-8)[1] > 2.0
                 for i in _near_misses(abstr, 2.0, near_band))
