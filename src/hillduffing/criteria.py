@@ -25,14 +25,15 @@ from __future__ import annotations
 
 import enum
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
-from .duffing import period, valid_amplitude
+from .duffing import _DELTA_MAX, period
 from .elliptic import sigma_constant
-from .errors import DomainError
+from .errors import DomainError, require_in
 from .hill import PeriodicCoefficient, Plane
 
 # absolute target for the closed-form quadratures
@@ -160,15 +161,21 @@ def _harmonic_window(pmin: float, pmax: float, T: float) -> CriterionVerdict:
 def burdina(p: PeriodicCoefficient) -> CriterionVerdict:
     """Phase-integral test: stable if some l has l pi < A - B and A + B < (l+1) pi,
     with A = int sqrt(p) over a period and B = (1/2) log(max/min).  Requires
-    p > 0 with a unique maximum and minimum per period."""
+    p > 0 with a unique maximum and minimum per period; a quadrature of A that
+    warns is inconclusive."""
     if not p.single_extremum_pair:
         return CriterionVerdict(Criterion.BURDINA, Outcome.INCONCLUSIVE,
                                 note="requires a unique extremum pair per period")
     pmin, pmax = _bounds(p)
     if pmin <= 0.0:
         return _needs_positive(Criterion.BURDINA, pmin)
-    A, err = quad(lambda t: math.sqrt(p(t)), 0.0, p.period, epsabs=_QUAD_EPS,
-                  epsrel=1e-11, limit=400)
+    with warnings.catch_warnings(record=True) as caught:  # err is then no bound
+        warnings.simplefilter("always", IntegrationWarning)
+        A, err = quad(lambda t: math.sqrt(p(t)), 0.0, p.period, epsabs=_QUAD_EPS,
+                      epsrel=1e-11, limit=400)
+    if caught:
+        return CriterionVerdict(Criterion.BURDINA, Outcome.INCONCLUSIVE,
+                                note="phase integral did not converge")
     return _phase_window(A, 0.5 * math.log(pmax / pmin), max(err, _MARGIN))
 
 
@@ -190,6 +197,13 @@ def _phase_window(A: float, B: float, margin: float, **quantities: float) -> Cri
                             note="corrected phase integral leaves its window")
 
 
+def _require_point(delta: float, name: str, c: float, op: str = ">") -> None:
+    """The closed forms' check: 0 < delta with 2 (1 + delta^2) finite, and finite c ``op`` 0."""
+    if not (0.0 < delta <= _DELTA_MAX and 0.0 <= c < math.inf and (c > 0.0 or op == ">=")):
+        raise DomainError(f"need finite delta > 0 with 2 (1 + delta^2) finite and {name} {op} 0, "
+                          f"got ({delta!r}, {c!r})")
+
+
 def phi(delta: float, gamma: float) -> float:
     """Closed-form phase integral for the gamma-plane coefficient.
 
@@ -199,9 +213,7 @@ def phi(delta: float, gamma: float) -> float:
     Duffing period.  gamma = 0 is allowed (integrable endpoint).  delta
     must have 2 (1 + delta^2) finite, as in ``DuffingParams``.
     """
-    if not (delta > 0.0 and valid_amplitude(delta)) or not 0.0 <= gamma < math.inf:
-        raise DomainError(f"need finite delta > 0 with 2 (1 + delta^2) finite and gamma >= 0, "
-                          f"got ({delta!r}, {gamma!r})")
+    _require_point(delta, "gamma", gamma, ">=")
     d2 = delta * delta
 
     def integrand(t: float) -> float:
@@ -220,9 +232,7 @@ def psi(delta: float, omega: float) -> float:
     at frequency scale w = omega; it decreases from pi * omega at delta = 0
     to pi sqrt(omega / 2) as delta -> infinity (strictly, for omega >= 1).
     """
-    if not (delta > 0.0 and valid_amplitude(delta)) or not 0.0 < omega < math.inf:
-        raise DomainError(f"need finite delta > 0 with 2 (1 + delta^2) finite and omega > 0, "
-                          f"got ({delta!r}, {omega!r})")
+    _require_point(delta, "omega", omega)
     return math.sqrt(omega) * phi(delta, omega)
 
 
@@ -233,9 +243,7 @@ def _burdina_condition(plane: Plane, delta: float, c: float) -> CriterionVerdict
     and B = (1/2) log(1 + delta^2/c); by the change of variables behind
     ``phi`` this is exactly the time-domain phase-integral test.
     """
-    if not (delta > 0.0 and valid_amplitude(delta)) or not 0.0 < c < math.inf:
-        raise DomainError(f"need finite delta > 0 with 2 (1 + delta^2) finite and "
-                          f"{plane.value} > 0, got ({delta!r}, {c!r})")
+    _require_point(delta, plane.value, c)
     log_ratio = math.log1p(delta * delta / c)
     # log_ratio < 2 min(A - l pi, (l + 1) pi - A) - _MARGIN, in the window test's form
     return _phase_window(math.sqrt(plane.scale(c)) * phi(delta, c), 0.5 * log_ratio,
@@ -317,6 +325,5 @@ def g_function(delta: float) -> float:
     infinity), which is what guarantees stability on the whole gamma = 0 axis.
     delta must be positive with 2 (1 + delta^2) finite, as in ``DuffingParams``.
     """
-    if not (delta > 0.0):
-        raise DomainError(f"need delta > 0, got {delta!r}")
+    require_in("delta", delta, 0.0, _DELTA_MAX, "(]")
     return SquaredDuffing(Plane.GAMMA, delta, 0.0).l2_quantity()[0]

@@ -133,7 +133,8 @@ class Plane(enum.Enum):
         ys = np.asarray(ys, dtype=float)
         w = np.broadcast_to(self.scale(ys), ys.shape)
         w = np.where(w > 0.0, w, math.nan)
-        return w * ys, w
+        with np.errstate(over="ignore"):  # a lane whose w y overflows is not live
+            return w * ys, w
 
 
 def squared_duffing_coefficient(delta: float, gamma: float) -> PeriodicCoefficient:
@@ -298,9 +299,10 @@ def lane_traces(delta, a, b, tol: float = DEFAULT_TOL,
     is the largest finite drift of the Wronskian u1 u2' - u1' u2 from 1 over
     the finished lanes (one that overflows reads +-inf, its drift not finite).
     A lane with a delta ``DuffingParams`` rejects or a non-finite a_i or b_i
-    gets NaN and takes no part in the step-size control.  After a step-cap
-    or underflow failure every lane is integrated again alone, and one that
-    fails alone gets NaN, without a numpy warning.  Traces agree with
+    gets NaN and takes no part in the step-size control.  After a step-cap,
+    underflow or non-finite start (h_i^2 a_i overflowed) failure each lane of
+    a batch of two or more is integrated again alone, and one that fails
+    alone gets NaN, without a numpy warning.  Traces agree with
     ``monodromy`` within the integrator tolerance, not bit for bit.
     """
     tol = _check_tol(tol)  # also when no lane is live
@@ -312,7 +314,6 @@ def lane_traces(delta, a, b, tol: float = DEFAULT_TOL,
         return LaneTraces(trace, 0, 0)
     uniq, where = np.unique(delta[live], return_inverse=True)
     h, d = (v[where] for v in _cn2_series(uniq))
-    neg_a, neg_bd = -h * h * a[live], -b[live, None] * d
     residual = 0.0
 
     def solve(lanes: slice):
@@ -328,8 +329,9 @@ def lane_traces(delta, a, b, tol: float = DEFAULT_TOL,
         return sol
 
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing lane reads +-inf
+        neg_a, neg_bd = -h * h * a[live], -b[live, None] * d
         runs = [solve(slice(None))]
-        if runs[0].failure is not None:
+        if runs[0].failure is not None and live.size > 1:
             runs += [solve(slice(i, i + 1)) for i in range(live.size)]
     return LaneTraces(trace, sum(r.steps for r in runs), sum(r.rhs_evals for r in runs), residual)
 

@@ -24,7 +24,7 @@ from typing import Callable, Iterable
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from .duffing import valid_amplitude
+from .duffing import _DELTA_MAX
 from .errors import (BracketNotFound, DomainError, IntegrationFailure, require_count,
                      require_finite, require_in)
 from .hill import (
@@ -58,10 +58,7 @@ def axis_values(lo: float, hi: float, count: int) -> np.ndarray:
     """Inclusive-endpoint axis lo + i (hi - lo) / (count - 1), reproducible
     without accumulation error."""
     count = require_count("resolution", count, 2)
-    if not math.isfinite(hi - lo):
-        raise DomainError(f"range must have finite endpoints and width, got ({lo}, {hi})")
-    if not hi > lo:
-        raise DomainError(f"range must be ordered, got ({lo}, {hi})")
+    require_in(f"width of the range ({lo}, {hi})", hi - lo, 0.0, math.inf)
     i = np.arange(count, dtype=float)
     return lo + i * ((hi - lo) / (count - 1))
 
@@ -209,16 +206,16 @@ def scan(
 
 def first_tongue_gamma(delta: float) -> tuple[float, float]:
     """Exact boundary (1, 1 + delta^2/2) of the first gamma-plane tongue."""
-    require_finite(delta=delta)
-    d2 = float(delta) * float(delta)
-    return (1.0, 1.0 + d2 / 2.0)
+    d = require_in("delta", delta, -_DELTA_MAX, _DELTA_MAX, "[]")
+    return (1.0, 1.0 + d * d / 2.0)
 
 
 def stability_strip_gamma(delta: float, gamma: float) -> StripVerdict:
     """Analytic strip verdict: stable for -delta^2/2 < gamma < 1, unstable
     below the parabola, no claim elsewhere."""
-    require_finite(delta=delta, gamma=gamma)
-    d2 = float(delta) * float(delta)
+    d = require_in("delta", delta, -_DELTA_MAX, _DELTA_MAX, "[]")
+    require_finite(gamma=gamma)
+    d2 = d * d
     if -d2 / 2.0 < gamma < 1.0:
         return StripVerdict.STABLE
     if gamma < -d2 / 2.0:
@@ -228,10 +225,10 @@ def stability_strip_gamma(delta: float, gamma: float) -> StripVerdict:
 
 def asymptotic_tongue_bounds(plane: Plane, ell: int, delta: float) -> tuple[float, float]:
     """Small-amplitude parabolic bounds of tongue ``ell`` (valid up to
-    O(delta^4) as delta -> 0; no hard cutoff is enforced)."""
+    O(delta^4) as delta -> 0; only the amplitude bound is enforced)."""
     ell = require_count("ell", ell, 2)  # parabolic bounds exist for ell >= 2 only
-    require_finite(delta=delta)
-    d2 = float(delta) * float(delta)
+    d = require_in("delta", delta, -_DELTA_MAX, _DELTA_MAX, "[]")
+    d2 = d * d
     if plane is Plane.GAMMA:
         center = ell * ell + (3.0 * ell * ell / 4.0 - 0.5) * d2
         half = d2 / (math.pi * ell)
@@ -301,8 +298,7 @@ def trace_level_bracket(
         the walk reaches the omega floor with |trace| still above it.
     """
     ell = require_count("ell", ell, 1)
-    if not (valid_amplitude(delta) and delta > 0.0):
-        raise DomainError(f"need delta > 0 with 2 (1 + delta^2) finite, got {delta!r}")
+    require_in("delta", delta, 0.0, _DELTA_MAX, "(]")
     if threshold is None:
         threshold = 2.0 - DEFAULT_TOL_BOUNDARY
     threshold = require_in("threshold", threshold, 0.0, 2.0, "(]")
