@@ -143,12 +143,15 @@ class StabilityGrid:
         return CLASS_NAMES[int(self.classification[i, j])]
 
     def csv_rows(self) -> Iterable[str]:
-        """Data rows 'x,y,trace,class' with 17-significant-digit floats."""
+        """Data rows 'x,y,trace,class' with 17-significant-digit floats; each
+        y is formatted once per grid and each x once per column."""
         yield "x,y,trace,class"
-        ys = self.y_values.tolist()
+        ys = ["%.17g," % y for y in self.y_values.tolist()]
+        classes = {code: "," + name for code, name in CLASS_NAMES.items()}
         for x, traces, codes in zip(self.x_values.tolist(), self.trace, self.classification):
+            x_text = "%.17g," % x
             for y, t, c in zip(ys, traces.tolist(), codes.tolist()):
-                yield "%.17g,%.17g,%.17g,%s" % (x, y, t, CLASS_NAMES[c])
+                yield x_text + y + "%.17g" % t + classes[c]
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="\n") as fh:
@@ -225,7 +228,8 @@ def stability_strip_gamma(delta: float, gamma: float) -> StripVerdict:
 
 def asymptotic_tongue_bounds(plane: Plane, ell: int, delta: float) -> tuple[float, float]:
     """Small-amplitude parabolic bounds of tongue ``ell`` (valid up to
-    O(delta^4) as delta -> 0; only the amplitude bound is enforced)."""
+    O(delta^4) as delta -> 0; only the amplitude bound is enforced, and a
+    ``DomainError`` naming delta is raised where a bound is not a float)."""
     ell = require_count("ell", ell, 2)  # parabolic bounds exist for ell >= 2 only
     d = require_in("delta", delta, -_DELTA_MAX, _DELTA_MAX, "[]")
     d2 = d * d
@@ -235,7 +239,10 @@ def asymptotic_tongue_bounds(plane: Plane, ell: int, delta: float) -> tuple[floa
     else:
         center = ell + (3.0 * ell / 8.0 - 0.25) * d2
         half = d2 / (2.0 * math.pi * ell)
-    return (center - half, center + half)
+    bounds = (center - half, center + half)
+    if not all(map(math.isfinite, bounds)):  # d^2 times the centre's factor overflowed
+        raise DomainError(f"delta must keep the bounds of tongue {ell} finite, got {delta!r}")
+    return bounds
 
 
 @dataclass(frozen=True)
