@@ -8,17 +8,12 @@ also records wall time, so only the CSV is byte-reproducible.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/config error or
 failed integration, 3 I/O error.
-
-The argument parser is built once per process and reused by every call of
-``main``: parsing reads it and changes nothing in it, and each call gets a
-new namespace, so nothing carries from one call to the next.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import itertools
 import json
 import os
@@ -203,7 +198,6 @@ def _cmd_duffing_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hillduffing",
@@ -274,7 +268,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (DomainError, ValueError, IntegrationFailure) as exc:

@@ -256,7 +256,7 @@ class LaneTraces:
 
 
 _TERMS = 13  # the nome is at most e^-pi for k <= 1/sqrt(2): n <= 12 reach rounding
-_NPI = math.pi * np.arange(_TERMS)  # the frequencies n pi, as solve_hill_lanes builds them
+_NPI = math.pi * np.arange(_TERMS)
 
 
 def _cn2_series(delta):
@@ -318,7 +318,9 @@ def lane_traces(delta, a, b, tol: float = DEFAULT_TOL,
 
     def solve(lanes: slice):
         nonlocal residual
-        sol = solve_hill_lanes((neg_a[lanes], neg_bd[lanes].T), tol, max_steps)
+        na, nbd = neg_a[lanes], neg_bd[lanes].T
+        sol = solve_hill_lanes(lambda taus: na + np.cos(np.multiply.outer(taus, _NPI)) @ nbd,
+                               na.size, tol, max_steps)
         if sol.failure is None:
             u1, u2, du1, du2 = sol.y
             trace.flat[live[lanes]] = 2.0 * (u1 * du2 + du1 * u2)

@@ -99,18 +99,14 @@ def solve_sampled(
 _TINY = np.finfo(float).tiny
 
 
-def _lane_error_norm(err, h, scale, m, q=None, sums=None):
+def _lane_error_norm(err, h, scale, m):
     """The largest of scipy's DOP853 error norms taken over each lane's own m
     components; ``err`` holds the flat, component-major E5 and E3 sums of
-    the stages as its two rows.  ``q`` (of ``err``'s shape) and ``sums`` (two
-    rows of one value per lane) are written over when given."""
-    q = np.square(np.divide(err, scale, out=q), out=q)
-    err5, denom = np.add.reduce(q.reshape(2, m, -1), axis=1, out=sums)
+    the stages as its two rows."""
+    err5, err3 = ((err / scale).reshape(2, m, -1) ** 2).sum(axis=1)
     # both sums vanish together only for an exact step, whose norm is 0
-    np.maximum(np.add(err5, np.multiply(denom, 0.01, out=denom), out=denom), _TINY, out=denom)
-    np.sqrt(np.multiply(denom, m, out=denom), out=denom)
-    return float(np.maximum.reduce(np.divide(np.multiply(err5, abs(h), out=err5), denom,
-                                             out=err5)))
+    denom = np.maximum(err5 + 0.01 * err3, _TINY)
+    return float((abs(h) * err5 / np.sqrt(denom * m)).max())
 
 
 class _LaneDOP853(DOP853):
@@ -220,43 +216,30 @@ _EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
 
 
 def solve_hill_lanes(
-    coef: tuple[np.ndarray, np.ndarray],
+    coef: Callable[[np.ndarray], np.ndarray],
+    lanes: int,
     tol: float,
     max_steps: int = DEFAULT_MAX_STEPS,
 ) -> LaneSolution:
     """Principal solutions of u'' = c_i(tau) u, tau from 0 to 1, for lanes i.
 
-    ``coef`` is the pair (c0, cn) of the cosine series c_i(tau) = c0[i] +
-    sum_n cn[n, i] cos(n pi tau): c0 has shape (lanes,) and cn (terms,
-    lanes), in any layout (``hill.lane_traces`` passes a transposed view,
-    and a contiguous copy would change the product's rounding).  ``y`` has
-    rows u1, u2, u1', u2', one column per lane.  The steps are
-    ``solve_lanes``' on this right-hand side, with scipy's DOP853 initial
-    step, controller and per-lane error norm, so the step and
-    right-hand-side counts are the same and the traces agree within
+    ``coef(taus)`` returns every lane's c at the times ``taus``, shape
+    (len(taus), lanes).  ``y`` has rows u1, u2, u1', u2', one column per
+    lane.  The steps are ``solve_lanes``' on this right-hand side, with
+    scipy's DOP853 initial step, controller and per-lane error norm, so the
+    step and right-hand-side counts are the same and the traces agree within
     rounding.  A step is DOP853 in Nystrom form (``_nystrom_tableau``): c at
-    all its stage times is one cosine table and one product, its weights
-    one more product, each level of stages is one product with the rows [u;
-    v; F_0 ..] and one multiply by its coefficients, and the end state and
-    error estimates are one more product.  Every array an attempted step
-    writes (the stage times, the cosine and coefficient tables, the weights,
-    the scale, |F| and the error-norm rows) is allocated once per solve and
-    written in place, as with few lanes numpy's per-call cost, not the
-    arithmetic, sets the time.  As in scipy, a step whose stage sums A F are
-    not finite is rejected.  Where a lane's error estimate is rounding noise
-    and sets the step (a lane that overflows or nearly does), the rounding
-    differs from scipy's and the batch can take a step or two more or fewer.
+    all its stage times comes from one ``coef`` call, its weights from one
+    product, each level of stages is one product with the rows [u; v; F_0
+    ..] and one multiply by its coefficients, and the end state and error
+    estimates are one more product.  As in scipy, a step whose stage sums A
+    F are not finite is rejected.  Where a lane's error estimate is rounding
+    noise and sets the step (a lane that overflows or nearly does), the
+    rounding differs from scipy's and the batch can take a step or two more
+    or fewer.
     """
     tol = _check_tol(tol)
-    c0, cn = coef
-    lanes, n, freqs = c0.size, DOP853.n_stages, math.pi * np.arange(cn.shape[0])
-    n2 = 2 * lanes
-
-    def series(taus, phase=None, out=None):
-        """c at the times ``taus`` (one row each), through the cosine table ``phase``."""
-        phase = np.cos(np.multiply.outer(taus, freqs, out=phase), out=phase)
-        return np.add(c0, np.matmul(phase, cn, out=out), out=out)
-
+    n, n2 = DOP853.n_stages, 2 * lanes
     g = np.zeros((n + 3, n2))  # the rows u, v, F_0 .. F_n, each (2, lanes)
     g[0, :lanes] = g[1, lanes:] = 1.0  # u1 = u2' = 1 at tau = 0
     # the U rows of the last level (u_new last), v_new and the E5 and E3 sums
@@ -265,23 +248,18 @@ def solve_hill_lanes(
     rows, w = np.empty((k + 5, n2)), np.empty(_WEIGHTS.shape[1:])
     y, y_new, f0, f = g[:2].ravel(), rows[k - 1:k + 1].ravel(), g[1:3].ravel(), g[2:n + 2]
     err = rows[k + 1:].reshape(2, -1)
-    # a step's stage times, cosine and coefficient tables, powers of h, |F|
-    # and |u_new; v_new|, and the error norm's squares and per-lane sums
-    taus, phase, table = np.empty(n), np.empty((n, freqs.size)), np.empty((n, lanes))
-    h_powers, f_abs, y_abs = np.ones(3), np.empty(f.shape), np.empty(y.shape)
-    squares, sums = np.empty(err.shape), np.empty((2, lanes))
-    levels = [(w[s0 - 1:s1 - 1, :s0 + 2], g[:s0 + 2], u, table[s0 - 1:s1 - 1, None],
+    levels = [(w[s0 - 1:s1 - 1, :s0 + 2], g[:s0 + 2], u, slice(s0 - 1, s1 - 1),
                u.reshape(-1, 2, lanes), g[s0 + 2:s1 + 2].reshape(-1, 2, lanes))
               for s0, s1 in _LEVELS for u in [rows[:k] if s1 > n else g[s0 + 2:s1 + 2]]]
-    w_all, w_end, ends, weights = w.reshape(-1), w[n:], rows[k:], _WEIGHTS.reshape(3, -1)
+    w_end, ends, weights = w[n:], rows[k:], _WEIGHTS.reshape(3, -1)
 
     # scipy's initial step over the flat batch, with its two right-hand sides
-    scale = tol + np.abs(y) * tol  # the step's scale from here on
-    np.multiply(series(np.zeros(1)), g[0].reshape(2, lanes), out=g[2].reshape(2, lanes))
+    scale = tol + np.abs(y) * tol
+    np.multiply(coef(np.zeros(1)), g[0].reshape(2, lanes), out=g[2].reshape(2, lanes))
     d0, d1 = _rms(y / scale), _rms(f0 / scale)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, 1.0)
     y1 = y + h0 * f0
-    f1 = np.concatenate((y1[n2:], (series(np.full(1, h0)) * y1[:n2].reshape(2, lanes)).ravel()))
+    f1 = np.concatenate((y1[n2:], (coef(np.full(1, h0)) * y1[:n2].reshape(2, lanes)).ravel()))
     d2 = _rms((f1 - f0) / scale) / h0
     h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
           else (0.01 / max(d1, d2)) ** -_EXPONENT)
@@ -294,19 +272,16 @@ def solve_hill_lanes(
         while not accepted and h_abs >= min_step:
             t_new = min(t + h_abs, 1.0)
             h = h_abs = t_new - t
-            series(np.add(np.multiply(_STAGE_C, h, out=taus), t, out=taus), phase, table)
-            h_powers[1:] = h, h * h
-            np.dot(h_powers, weights, out=w_all)
-            for w_level, g_used, u_level, c_level, u_3d, f_level in levels:  # F = c U by level
+            table = coef(t + _STAGE_C * h)[:, None]
+            np.dot((1.0, h, h * h), weights, out=w.reshape(-1))
+            for w_level, g_used, u_level, at, u_3d, f_level in levels:  # F = c U by level
                 np.dot(w_level, g_used, out=u_level)
-                np.multiply(c_level, u_3d, out=f_level)
+                np.multiply(table[at], u_3d, out=f_level)
             np.dot(w_end, g, out=ends)
             attempts += 1
-            np.maximum(np.abs(y, out=scale), np.abs(y_new, out=y_abs), out=scale)
-            np.add(np.multiply(scale, tol, out=scale), tol, out=scale)
-            overflow = (not np.maximum.reduce(np.abs(f, out=f_abs), axis=None) < _F_SAFE
-                        and not np.isfinite(_STAGE_SUMS @ f).all())
-            norm = math.inf if overflow else _lane_error_norm(err, h, scale, 4, squares, sums)
+            scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
+            overflow = not np.abs(f).max() < _F_SAFE and not np.isfinite(_STAGE_SUMS @ f).all()
+            norm = math.inf if overflow else _lane_error_norm(err, h, scale, 4)
             factor = 10.0 if norm == 0 else 0.9 * norm**_EXPONENT
             if norm < 1:
                 h_abs *= min(10.0, factor, 1.0 if rejected else 10.0)

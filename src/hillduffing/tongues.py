@@ -229,7 +229,7 @@ def stability_strip_gamma(delta: float, gamma: float) -> StripVerdict:
 def asymptotic_tongue_bounds(plane: Plane, ell: int, delta: float) -> tuple[float, float]:
     """Small-amplitude parabolic bounds of tongue ``ell`` (valid up to
     O(delta^4) as delta -> 0; only the amplitude bound is enforced, and a
-    ``DomainError`` naming delta is raised where a bound is not a float)."""
+    ``DomainError`` naming delta is raised where the upper bound is not a float)."""
     ell = require_count("ell", ell, 2)  # parabolic bounds exist for ell >= 2 only
     d = require_in("delta", delta, -_DELTA_MAX, _DELTA_MAX, "[]")
     d2 = d * d
@@ -239,10 +239,9 @@ def asymptotic_tongue_bounds(plane: Plane, ell: int, delta: float) -> tuple[floa
     else:
         center = ell + (3.0 * ell / 8.0 - 0.25) * d2
         half = d2 / (2.0 * math.pi * ell)
-    bounds = (center - half, center + half)
-    if not all(map(math.isfinite, bounds)):  # d^2 times the centre's factor overflowed
-        raise DomainError(f"delta must keep the bounds of tongue {ell} finite, got {delta!r}")
-    return bounds
+    # d^2 times the centre's factor can overflow; with half >= 0 the upper bound does so first
+    require_finite(**{f"upper bound of tongue {ell} at delta = {delta!r}": center + half})
+    return (center - half, center + half)
 
 
 @dataclass(frozen=True)

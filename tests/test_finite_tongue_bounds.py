@@ -2,6 +2,7 @@
 ``DomainError`` naming delta, also for a delta the amplitude bound accepts."""
 
 import math
+import re
 
 import pytest
 
@@ -14,7 +15,8 @@ from hillduffing.tongues import asymptotic_tongue_bounds
     (Plane.OMEGA, 7, 9e153), (Plane.OMEGA, 7, -9e153), (Plane.GAMMA, 2**40, 1e150),
 ])
 def test_an_overflowing_bound_names_delta(plane, ell, delta):
-    with pytest.raises(DomainError, match=r"^delta must keep the bounds of tongue \d+ finite"):
+    want = rf"^upper bound of tongue {ell} at delta = {re.escape(repr(delta))} must be finite"
+    with pytest.raises(DomainError, match=want):
         asymptotic_tongue_bounds(plane, ell, delta)
 
 
