@@ -213,6 +213,11 @@ def phi(delta: float, gamma: float) -> float:
     Duffing period.  gamma = 0 is allowed (integrable endpoint).  delta
     must have 2 (1 + delta^2) finite, as in ``DuffingParams``.
     """
+    return _phi_and_error(delta, gamma)[0]
+
+
+def _phi_and_error(delta: float, gamma: float) -> tuple[float, float]:
+    """``phi(delta, gamma)`` and the quadrature's error estimate of it."""
     _require_point(delta, "gamma", gamma, ">=")
     d2 = delta * delta
 
@@ -220,9 +225,9 @@ def phi(delta: float, gamma: float) -> float:
         s2 = math.sin(t) ** 2
         return math.sqrt((gamma + d2 * s2) / (2.0 + d2 + d2 * s2))
 
-    val, _ = quad(integrand, 0.0, math.pi / 2.0, epsabs=_QUAD_EPS, epsrel=1e-12,
-                  limit=400)
-    return 2.0 * math.sqrt(2.0) * val
+    val, err = quad(integrand, 0.0, math.pi / 2.0, epsabs=_QUAD_EPS, epsrel=1e-12,
+                    limit=400)
+    return 2.0 * math.sqrt(2.0) * val, 2.0 * math.sqrt(2.0) * err
 
 
 def psi(delta: float, omega: float) -> float:
@@ -241,13 +246,18 @@ def _burdina_condition(plane: Plane, delta: float, c: float) -> CriterionVerdict
 
     The window test with A = sqrt(w) phi(delta, c), w = ``plane.scale(c)``,
     and B = (1/2) log(1 + delta^2/c); by the change of variables behind
-    ``phi`` this is exactly the time-domain phase-integral test.
+    ``phi`` this is exactly the time-domain phase-integral test.  Each end
+    must hold by half ``_MARGIN``, or by A's own error (the quadrature's
+    estimate plus four ulp of A) where that is larger.
     """
     _require_point(delta, plane.value, c)
     log_ratio = math.log1p(delta * delta / c)
-    # log_ratio < 2 min(A - l pi, (l + 1) pi - A) - _MARGIN, in the window test's form
-    return _phase_window(math.sqrt(plane.scale(c)) * phi(delta, c), 0.5 * log_ratio,
-                         0.5 * _MARGIN, delta=delta, **{plane.value: c}, log_ratio=log_ratio)
+    root_w = math.sqrt(plane.scale(c))
+    phase, err = _phi_and_error(delta, c)
+    A = root_w * phase
+    # log_ratio < 2 min(A - l pi, (l + 1) pi - A) - 2 margin, in the window test's form
+    return _phase_window(A, 0.5 * log_ratio, max(0.5 * _MARGIN, root_w * err + 4 * math.ulp(A)),
+                         delta=delta, **{plane.value: c}, log_ratio=log_ratio)
 
 
 def burdina_condition_gamma(delta: float, gamma: float) -> CriterionVerdict:

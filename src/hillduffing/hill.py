@@ -298,20 +298,19 @@ def lane_traces(delta, a, b, tol: float = DEFAULT_TOL,
     scipy's tableau, controller and a per-lane error norm; ``det_residual``
     is the largest finite drift of the Wronskian u1 u2' - u1' u2 from 1 over
     the finished lanes (one that overflows reads +-inf, its drift not finite).
-    A lane with a delta ``DuffingParams`` rejects or a non-finite a_i or b_i
-    gets NaN and takes no part in the step-size control.  After a step-cap,
-    underflow or non-finite start (h_i^2 a_i overflowed) failure each lane of
-    a batch of two or more is integrated again alone, and one that fails
-    alone gets NaN, without a numpy warning.  Traces agree with
-    ``monodromy`` within the integrator tolerance, not bit for bit.
+    A lane is live when ``DuffingParams`` accepts its delta and its coefficient at
+    tau = 0, -h_i^2 a_i - sum_n b_i D_n, is finite; a dead lane (a non-finite a_i
+    or b_i, or an overflowing h_i^2 a_i) gets NaN and takes no part in its batch.
+    After a step-cap or step-size-underflow failure, and only then, each lane of a
+    batch of two or more is integrated again alone, and one that fails alone gets
+    NaN, without a numpy warning.  Traces agree with ``monodromy`` within the
+    integrator tolerance, not bit for bit.
     """
     tol = _check_tol(tol)  # also when no lane is live
     delta, a, b = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (delta, a, b)))
     trace = np.full(a.shape, math.nan)  # written through trace.flat, lane by lane
     delta, a, b = delta.ravel(), a.ravel(), b.ravel()
-    live = np.flatnonzero(np.isfinite(a) & np.isfinite(b) & valid_amplitude(delta))
-    if not live.size:
-        return LaneTraces(trace, 0, 0)
+    live = np.flatnonzero(valid_amplitude(delta))
     uniq, where = np.unique(delta[live], return_inverse=True)
     h, d = (v[where] for v in _cn2_series(uniq))
     residual = 0.0
@@ -330,8 +329,10 @@ def lane_traces(delta, a, b, tol: float = DEFAULT_TOL,
 
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing lane reads +-inf
         neg_a, neg_bd = -h * h * a[live], -b[live, None] * d
-        runs = [solve(slice(None))]
-        if runs[0].failure is not None and live.size > 1:
+        starts = np.isfinite(neg_a + neg_bd.sum(axis=1))  # c(0): the one liveness test
+        live, neg_a, neg_bd = live[starts], neg_a[starts], neg_bd[starts]
+        runs = [solve(slice(None))] if live.size else []
+        if live.size > 1 and runs[0].failure is not None:
             runs += [solve(slice(i, i + 1)) for i in range(live.size)]
     return LaneTraces(trace, sum(r.steps for r in runs), sum(r.rhs_evals for r in runs), residual)
 

@@ -2,8 +2,8 @@
 
 Every entry point runs the Dormand-Prince 8(5,3) method with rtol = atol
 = tol under a hard cap on accepted steps (so pathological coefficients
-cannot hang a computation), and reports step-size underflow and a
-non-finite derivative at t0 (where scipy's first step never ends) as failures.
+cannot hang a computation), and reports step-size underflow, and in
+``solve_lanes`` a non-finite start (where scipy's first step never ends), as failures.
 ``solve_lanes`` steps scipy's Python ``DOP853`` over lanes, independent
 systems stepped together, each with its own error norm (Hairer, Norsett &
 Wanner, *Solving ODEs I*, II.10); their failure is reported, not raised,
@@ -129,8 +129,8 @@ class LaneSolution:
     ``y`` has the shape of the initial state, one column per lane.
     ``steps`` counts steps, with the one that failed if any, and
     ``rhs_evals`` calls of the right-hand side, each of which covers every
-    lane.  ``failure`` is None, or the reason (non-finite start, step cap or
-    underflow) the batch stopped early, in which case ``y`` is meaningless.
+    lane.  ``failure`` is None, or why the batch stopped early (step cap,
+    underflow, or in ``solve_lanes`` a non-finite start); ``y`` is then meaningless.
     """
 
     y: np.ndarray
@@ -233,10 +233,11 @@ def solve_hill_lanes(
     product, each level of stages is one product with the rows [u; v; F_0
     ..] and one multiply by its coefficients, and the end state and error
     estimates are one more product.  As in scipy, a step whose stage sums A
-    F are not finite is rejected.  Where a lane's error estimate is rounding
-    noise and sets the step (a lane that overflows or nearly does), the
-    rounding differs from scipy's and the batch can take a step or two more
-    or fewer.
+    F are not finite is rejected; a c not finite at tau = 0 (a lane that
+    ``hill.lane_traces`` keeps out) fails the first step as an underflow.
+    Where a lane's error estimate is rounding noise and sets the step (a lane
+    that overflows or nearly does), the rounding differs from scipy's and the
+    batch can take a step or two more or fewer.
     """
     tol = _check_tol(tol)
     n, n2 = DOP853.n_stages, 2 * lanes
@@ -264,8 +265,6 @@ def solve_hill_lanes(
     h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
           else (0.01 / max(d1, d2)) ** -_EXPONENT)
     h_abs, t, steps, attempts, failure = min(100 * h0, h1, 1.0), 0.0, 0, 0, None
-    if not np.isfinite(f0).all():
-        failure = "non-finite derivative at t0=0.0"
     while failure is None and t < 1.0:
         min_step = 10 * math.ulp(t)
         h_abs, rejected, accepted = max(h_abs, min_step), False, False
