@@ -311,8 +311,11 @@ def lane_traces(delta, a, b, tol: float = DEFAULT_TOL,
     trace = np.full(a.shape, math.nan)  # written through trace.flat, lane by lane
     delta, a, b = delta.ravel(), a.ravel(), b.ravel()
     live = np.flatnonzero(valid_amplitude(delta))
-    uniq, where = np.unique(delta[live], return_inverse=True)
-    h, d = (v[where] for v in _cn2_series(uniq))
+    if live.size == 1:  # a point solve: no deltas to share
+        h, d = _cn2_series(delta[live])
+    else:
+        uniq, where = np.unique(delta[live], return_inverse=True)
+        h, d = (v[where] for v in _cn2_series(uniq))
     residual = 0.0
 
     def solve(lanes: slice):

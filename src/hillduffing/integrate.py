@@ -16,6 +16,12 @@ starts (II.4), so one coefficient table per step replaces twelve calls of
 a general right-hand side, and on a linear second-order system DOP853 is
 a Runge-Kutta-Nystrom method (II.14) whose stages follow from the
 accelerations alone, so a pair of stages is one product and one multiply.
+A batch of one lane (every point solve: ``trace_at``, ``mode_stability``,
+bisections, refinements and reported peaks) folds c into the stage weights,
+so a level is one product, and takes its error norm on floats; batches of
+two or more lanes are unchanged bit for bit.  A one-lane trace can differ
+from the array path's at rounding level, as F = (c W) G there against
+c (W G).
 ``solve_sampled`` runs the beam's long trajectories on the compiled DOP853
 (scipy's ``ode``), one call per sample time, so only the right-hand side
 and a step counter run in Python and every row is an integrated value.
@@ -96,7 +102,7 @@ def solve_sampled(
     return out
 
 
-_TINY = np.finfo(float).tiny
+_TINY = float(np.finfo(float).tiny)
 
 
 def _lane_error_norm(err, h, scale, m):
@@ -107,6 +113,26 @@ def _lane_error_norm(err, h, scale, m):
     # both sums vanish together only for an exact step, whose norm is 0
     denom = np.maximum(err5 + 0.01 * err3, _TINY)
     return float((abs(h) * err5 / np.sqrt(denom * m)).max())
+
+
+def _point_error_norm(y, ends, h, tol):
+    """``_lane_error_norm`` of one lane of four components, on floats, with the
+    lane loop's scale tol + max(|y|, |y_new|) tol.  ``y`` holds the state at
+    the step's start and ``ends`` the state at its end, then the E5 and E3
+    sums, in the loop's flat order.  Each operation is numpy's in numpy's
+    order, so the result is the same bit for bit: x * x (Python's x ** 2
+    raises ``OverflowError`` where numpy gives inf), the sums from the first
+    component on, and every maximum keeps a NaN (Python's ``max`` can drop
+    it)."""
+    err5 = err3 = 0.0
+    for a, b, e5, e3 in zip(y, ends, ends[4:8], ends[8:]):
+        a, b = abs(a), abs(b)
+        s = tol + (b if b > a or b != b else a) * tol
+        e5, e3 = e5 / s, e3 / s
+        err5 += e5 * e5
+        err3 += e3 * e3
+    denom = err5 + 0.01 * err3
+    return abs(h) * err5 / math.sqrt((_TINY if denom < _TINY else denom) * 4)
 
 
 class _LaneDOP853(DOP853):
@@ -232,9 +258,16 @@ def solve_hill_lanes(
     all its stage times comes from one ``coef`` call, its weights from one
     product, each level of stages is one product with the rows [u; v; F_0
     ..] and one multiply by its coefficients, and the end state and error
-    estimates are one more product.  As in scipy, a step whose stage sums A
-    F are not finite is rejected; a c not finite at tau = 0 (a lane that
-    ``hill.lane_traces`` keeps out) fails the first step as an underflow.
+    estimates are one more product.  One lane (``lanes == 1``, every point
+    solve) takes a cheaper branch: the stage rows of the weights are scaled
+    by its 12 values of c once per attempt, so a level is one product
+    straight into its F rows, and the error norm and scale are taken on
+    floats (``_point_error_norm``, bit for bit ``_lane_error_norm``).  Two or
+    more lanes run the array path unchanged, bit for bit; a one-lane trace
+    can differ from it at rounding level (F = (c W) G against c (W G)).  As
+    in scipy, a step whose stage sums A F are not finite is rejected; a c
+    not finite at tau = 0 (a lane that ``hill.lane_traces`` keeps out) fails
+    the first step as an underflow.
     Where a lane's error estimate is rounding noise and sets the step (a lane
     that overflows or nearly does), the rounding differs from scipy's and the
     batch can take a step or two more or fewer.
@@ -247,12 +280,19 @@ def solve_hill_lanes(
     # (u and v halves); the other levels put U in their F rows
     k = n + 1 - _LEVELS[-1][0]
     rows, w = np.empty((k + 5, n2)), np.empty(_WEIGHTS.shape[1:])
-    y, y_new, f0, f = g[:2].ravel(), rows[k - 1:k + 1].ravel(), g[1:3].ravel(), g[2:n + 2]
-    err = rows[k + 1:].reshape(2, -1)
-    levels = [(w[s0 - 1:s1 - 1, :s0 + 2], g[:s0 + 2], u, slice(s0 - 1, s1 - 1),
-               u.reshape(-1, 2, lanes), g[s0 + 2:s1 + 2].reshape(-1, 2, lanes))
-              for s0, s1 in _LEVELS for u in [rows[:k] if s1 > n else g[s0 + 2:s1 + 2]]]
-    w_end, ends, weights = w[n:], rows[k:], _WEIGHTS.reshape(3, -1)
+    y, f0, f = g[:2].ravel(), g[1:3].ravel(), g[2:n + 2]
+    weights, point = _WEIGHTS.reshape(3, -1), lanes == 1
+    if point:  # F = (c W) G: with c in the stage rows of w, a level is one product
+        wc = np.empty((n, w.shape[1]))
+        levels = [(wc[s0 - 1:s1 - 1, :s0 + 2], g[:s0 + 2], g[s0 + 2:s1 + 2])
+                  for s0, s1 in _LEVELS]
+        w_end, ends = w[n - 1:], rows[k - 1:]  # u_new (its row unscaled), v_new, E5, E3
+    else:
+        levels = [(w[s0 - 1:s1 - 1, :s0 + 2], g[:s0 + 2], u, slice(s0 - 1, s1 - 1),
+                   u.reshape(-1, 2, lanes), g[s0 + 2:s1 + 2].reshape(-1, 2, lanes))
+                  for s0, s1 in _LEVELS for u in [rows[:k] if s1 > n else g[s0 + 2:s1 + 2]]]
+        w_end, ends = w[n:], rows[k:]
+        y_new, err = rows[k - 1:k + 1].ravel(), rows[k + 1:].reshape(2, -1)
 
     # scipy's initial step over the flat batch, with its two right-hand sides
     scale = tol + np.abs(y) * tol
@@ -271,16 +311,27 @@ def solve_hill_lanes(
         while not accepted and h_abs >= min_step:
             t_new = min(t + h_abs, 1.0)
             h = h_abs = t_new - t
-            table = coef(t + _STAGE_C * h)[:, None]
+            table = coef(t + _STAGE_C * h)
             np.dot((1.0, h, h * h), weights, out=w.reshape(-1))
-            for w_level, g_used, u_level, at, u_3d, f_level in levels:  # F = c U by level
-                np.dot(w_level, g_used, out=u_level)
-                np.multiply(table[at], u_3d, out=f_level)
+            if point:
+                np.multiply(w[:n], table, out=wc)
+                for w_level, g_used, f_level in levels:
+                    np.dot(w_level, g_used, out=f_level)
+            else:
+                table = table[:, None]
+                for w_level, g_used, u_level, at, u_3d, f_level in levels:  # F = c U by level
+                    np.dot(w_level, g_used, out=u_level)
+                    np.multiply(table[at], u_3d, out=f_level)
             np.dot(w_end, g, out=ends)
             attempts += 1
-            scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
             overflow = not np.abs(f).max() < _F_SAFE and not np.isfinite(_STAGE_SUMS @ f).all()
-            norm = math.inf if overflow else _lane_error_norm(err, h, scale, 4)
+            if overflow:
+                norm = math.inf
+            elif point:
+                norm = _point_error_norm(y.tolist(), ends.ravel().tolist(), h, tol)
+            else:
+                scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
+                norm = _lane_error_norm(err, h, scale, 4)
             factor = 10.0 if norm == 0 else 0.9 * norm**_EXPONENT
             if norm < 1:
                 h_abs *= min(10.0, factor, 1.0 if rejected else 10.0)
