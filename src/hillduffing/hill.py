@@ -25,7 +25,7 @@ import numpy as np
 
 from . import elliptic
 from .duffing import DuffingParams, period, valid_amplitude
-from .errors import DomainError, require_finite, require_in
+from .errors import DomainError, require_count, require_finite, require_in
 from .integrate import DEFAULT_MAX_STEPS, _check_tol, solve_final, solve_hill_lanes
 
 DEFAULT_TOL = 1e-10
@@ -220,8 +220,12 @@ def monodromy(
     IntegrationFailure
         If the step count exceeds ``max_steps``, the step size
         underflows or the coefficient is not finite at t = 0.
+    DomainError
+        If ``tol``, ``tol_boundary`` or ``max_steps`` (an integer >= 1) is
+        out of range, before anything is integrated.
     """
     classify_trace(0.0, tol_boundary)  # rejects a bad band before integrating
+    max_steps = require_count("max_steps", max_steps, 1)
     pf = p.func
 
     def rhs(t: float, y: np.ndarray):
@@ -257,27 +261,65 @@ class LaneTraces:
 
 _TERMS = 13  # the nome is at most e^-pi for k <= 1/sqrt(2): n <= 12 reach rounding
 _NPI = math.pi * np.arange(_TERMS)
+_N = np.arange(1, _TERMS)
+_N2, _D_SCALE = 2 * _N, 4.0 * math.pi**2 * _N
+
+
+def _nome(x: float) -> tuple[float, float]:
+    """K(k) and the nome q = exp(-pi K(k') / K(k)) of the modulus at delta = x."""
+    k = DuffingParams(x).modulus
+    K = elliptic.complete_K(k)
+    kp = math.sqrt((1.0 - k) * (1.0 + k))  # is 1 only for |delta| < 1e-8, where q < 1e-17
+    # math.exp: np.exp may round otherwise
+    return K, math.exp(-math.pi * elliptic.complete_K(kp) / K) if kp < 1.0 else 0.0
 
 
 def _cn2_series(delta):
     """Half period h = K(k) / sqrt(1 + delta^2) of delta^2 cn^2(sqrt(1 + delta^2) s, k), and
     the D_n of h^2 delta^2 cn^2(K tau, k) = sum D_n cos(n pi tau), tau = s / h (DLMF 22.11.13).
     For a float, h is a float and D has shape (13,); for an array of U deltas, h has
-    shape (U,) and D shape (U, 13), each row bit for bit what its float gives."""
+    shape (U,) and D shape (U, 13), each row bit for bit what its float gives (the D_n
+    stay numpy's q**n in both forms, which differs from Python's ``q ** n``)."""
     if np.ndim(delta) == 0:
-        h, d = _cn2_series(np.array([delta], dtype=float))
-        return float(h[0]), d[0]
+        x = float(delta)
+        K, q = _nome(x)
+        h = K / math.sqrt(1.0 + x * x)
+        d = np.empty(_TERMS)
+        np.divide(_D_SCALE * q**_N, 1.0 - q**_N2, out=d[1:])
+        d[0] = h * h * x * x - d[1:].sum()  # as cn(0) = 1
+        return h, d
     delta = np.asarray(delta, dtype=float)
-    K, q = np.empty(delta.size), np.empty(delta.size)
-    for i, x in enumerate(delta.tolist()):  # math.exp: np.exp may round otherwise
-        k = DuffingParams(x).modulus
-        K[i] = elliptic.complete_K(k)
-        kp = math.sqrt((1.0 - k) * (1.0 + k))  # is 1 only for |delta| < 1e-8, where q < 1e-17
-        q[i] = math.exp(-math.pi * elliptic.complete_K(kp) / K[i]) if kp < 1.0 else 0.0
-    n, q = np.arange(1, _TERMS), q[:, None]
-    d = 4.0 * math.pi**2 * n * q**n / (1.0 - q ** (2 * n))
+    K, q = np.array([_nome(x) for x in delta.tolist()]).reshape(-1, 2).T
+    q = q[:, None]
+    d = _D_SCALE * q**_N / (1.0 - q**_N2)
     h = K / np.sqrt(1.0 + delta * delta)
     return h, np.column_stack((h * h * delta * delta - d.sum(axis=1), d))  # as cn(0) = 1
+
+
+def _point_trace(delta: float, a: float, b: float, tol: float, max_steps: int):
+    """``lane_traces`` of one lane (delta, a, b) on floats, under its ``errstate``:
+    (trace, steps, rhs_evals, det_residual), the trace NaN for a dead lane."""
+    if not valid_amplitude(delta):
+        return math.nan, 0, 0, 0.0
+    h, d = _cn2_series(delta)
+    neg_a, neg_bd = -h * h * a, -b * d
+    if not math.isfinite(neg_a + neg_bd.sum()):  # c(0): the one liveness test
+        return math.nan, 0, 0, 0.0
+    return _solve_point(neg_a, neg_bd, tol, max_steps)
+
+
+def _solve_point(neg_a: float, neg_bd: np.ndarray, tol: float, max_steps: int):
+    """One live lane of ``lane_traces``, c(tau) = -h^2 a - sum b D_n cos(n pi tau):
+    (trace, steps, rhs_evals, det_residual), the trace NaN if the solve failed."""
+    nbd = neg_bd[:, None]
+    sol = solve_hill_lanes(lambda taus: neg_a + np.cos(np.multiply.outer(taus, _NPI)) @ nbd,
+                           1, tol, max_steps)
+    if sol.failure is not None:
+        return math.nan, sol.steps, sol.rhs_evals, 0.0
+    u1, u2, du1, du2 = sol.y.ravel().tolist()
+    drift = abs(u1 * du2 - du1 * u2 - 1.0)
+    return (2.0 * (u1 * du2 + du1 * u2), sol.steps, sol.rhs_evals,
+            drift if math.isfinite(drift) else 0.0)
 
 
 def lane_traces(delta, a, b, tol: float = DEFAULT_TOL,
@@ -301,12 +343,21 @@ def lane_traces(delta, a, b, tol: float = DEFAULT_TOL,
     A lane is live when ``DuffingParams`` accepts its delta and its coefficient at
     tau = 0, -h_i^2 a_i - sum_n b_i D_n, is finite; a dead lane (a non-finite a_i
     or b_i, or an overflowing h_i^2 a_i) gets NaN and takes no part in its batch.
-    After a step-cap or step-size-underflow failure, and only then, each lane of a
-    batch of two or more is integrated again alone, and one that fails alone gets
-    NaN, without a numpy warning.  Traces agree with ``monodromy`` within the
-    integrator tolerance, not bit for bit.
+    Three Python floats (every ``tongues.trace_at``) are one point, set up on
+    floats from the amplitude rule to the kernel's first step (``_point_trace``),
+    and a batch with exactly one live lane solves it on the same routine
+    (``_solve_point``), so a lane gives the same trace, steps and RHS count either
+    way.  After a step-cap or step-size-underflow failure, and only then, each lane
+    of a batch of two or more is integrated again alone, and one that fails alone
+    gets NaN, without a numpy warning.  ``max_steps`` must be an integer >= 1.
+    Traces agree with ``monodromy`` within the integrator tolerance, not bit for bit.
     """
     tol = _check_tol(tol)  # also when no lane is live
+    max_steps = require_count("max_steps", max_steps, 1)
+    if type(delta) is type(a) is type(b) is float:  # one point: no arrays to broadcast
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace, *work = _point_trace(delta, a, b, tol, max_steps)
+        return LaneTraces(np.array(trace), *work)
     delta, a, b = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (delta, a, b)))
     trace = np.full(a.shape, math.nan)  # written through trace.flat, lane by lane
     delta, a, b = delta.ravel(), a.ravel(), b.ravel()
@@ -318,26 +369,36 @@ def lane_traces(delta, a, b, tol: float = DEFAULT_TOL,
         h, d = (v[where] for v in _cn2_series(uniq))
     residual = 0.0
 
-    def solve(lanes: slice):
+    def solve_batch():
         nonlocal residual
-        na, nbd = neg_a[lanes], neg_bd[lanes].T
-        sol = solve_hill_lanes(lambda taus: na + np.cos(np.multiply.outer(taus, _NPI)) @ nbd,
-                               na.size, tol, max_steps)
+        nbd = neg_bd.T
+        sol = solve_hill_lanes(lambda taus: neg_a + np.cos(np.multiply.outer(taus, _NPI)) @ nbd,
+                               live.size, tol, max_steps)
         if sol.failure is None:
             u1, u2, du1, du2 = sol.y
-            trace.flat[live[lanes]] = 2.0 * (u1 * du2 + du1 * u2)
+            trace.flat[live] = 2.0 * (u1 * du2 + du1 * u2)
             drift = np.abs(u1 * du2 - du1 * u2 - 1.0)
-            residual = max(residual, float(drift[np.isfinite(drift)].max(initial=0.0)))
+            residual = float(drift[np.isfinite(drift)].max(initial=0.0))
         return sol
+
+    def solve_alone(i: int):
+        nonlocal residual
+        lane_trace, steps, rhs_evals, drift = _solve_point(float(neg_a[i]), neg_bd[i], tol,
+                                                           max_steps)
+        trace.flat[live[i]], residual = lane_trace, max(residual, drift)
+        return steps, rhs_evals
 
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing lane reads +-inf
         neg_a, neg_bd = -h * h * a[live], -b[live, None] * d
         starts = np.isfinite(neg_a + neg_bd.sum(axis=1))  # c(0): the one liveness test
         live, neg_a, neg_bd = live[starts], neg_a[starts], neg_bd[starts]
-        runs = [solve(slice(None))] if live.size else []
-        if live.size > 1 and runs[0].failure is not None:
-            runs += [solve(slice(i, i + 1)) for i in range(live.size)]
-    return LaneTraces(trace, sum(r.steps for r in runs), sum(r.rhs_evals for r in runs), residual)
+        runs, alone = [], live.size == 1
+        if live.size > 1:
+            sol = solve_batch()
+            runs, alone = [(sol.steps, sol.rhs_evals)], sol.failure is not None
+        if alone:  # the one live lane, or each lane of a batch that failed
+            runs += [solve_alone(i) for i in range(live.size)]
+    return LaneTraces(trace, sum(r[0] for r in runs), sum(r[1] for r in runs), residual)
 
 
 class ExactLine(enum.Enum):

@@ -64,11 +64,18 @@ def axis_values(lo: float, hi: float, count: int) -> np.ndarray:
 
 
 def trace_at(plane: Plane, delta: float, y: float, tol: float = DEFAULT_TOL) -> float:
-    """Monodromy trace at one point of the chosen parameter plane: a one-lane
-    ``hill.lane_traces`` run, within the integrator tolerance of ``monodromy``.
-    A point with no coefficient raises the ``DomainError`` of ``Plane.params``."""
+    """Monodromy trace at one point of the chosen parameter plane, within the
+    integrator tolerance of ``monodromy``.  A point with no coefficient raises the
+    ``DomainError`` of ``Plane.params``; a failed lane raises ``IntegrationFailure``.
+    The lane (a, b) = (w y, w) is formed on floats and ``lane_traces`` sets it up
+    on floats to the kernel's first step, bit for bit the one-lane ``_line`` value."""
     plane.params(delta, y)
-    return float(_line(plane, delta, [y], tol)[0])
+    y = float(y)
+    w = plane.scale(y)  # positive: Plane.params accepts no other
+    trace = float(lane_traces(float(delta), w * y, w, tol=tol).trace)
+    if math.isnan(trace):
+        raise IntegrationFailure(f"a lane failed on the {plane.value} line")
+    return trace
 
 
 def map_cells(fn: Callable, tasks: list, workers: int) -> list:

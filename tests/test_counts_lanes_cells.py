@@ -15,6 +15,8 @@ from hillduffing import (
     beam,
     burdina_condition_gamma,
     errors,
+    hill,
+    monodromy,
     scan,
     simulate,
     squared_duffing_coefficient,
@@ -99,6 +101,19 @@ class TestEverySite:
     def test_mode_numbers(self):
         _rejects_all(lambda v: ModePair(v, 2), "mode number m must be an integer >= 1", 1)
         _rejects_all(lambda v: ModePair(1, v), "mode number n must be an integer >= 1", 1)
+
+    def test_max_steps(self, monkeypatch):
+        # NaN used to lift the step cap, -5 to fail as "step cap -5 exceeded"
+        _forbid(monkeypatch, hill, "solve_hill_lanes")
+        _forbid(monkeypatch, hill, "solve_final")
+        coefficient = squared_duffing_coefficient(1.0, 0.5)
+        message = "max_steps must be an integer >= 1"
+        for call in (lambda v: lane_traces(1.0, [1.5], 1.0, max_steps=v),
+                     lambda v: lane_traces(1.0, 1.5, 1.0, max_steps=v),
+                     lambda v: monodromy(coefficient, max_steps=v)):
+            _rejects_all(call, message, 1)  # NaN, 0 and 2.5 among them
+            with pytest.raises(DomainError, match=f"^{message}"):
+                call(-5)
 
     def test_workers_variable(self, tmp_path, capsys, monkeypatch):
         for env in (str(HUGE), str(2**53 + 1)):

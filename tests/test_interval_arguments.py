@@ -45,6 +45,8 @@ CHECKS = [
     ("period", lambda v: PeriodicCoefficient(math.cos, v), 0.0, INF, "()", math.pi),
     ("tol_boundary", lambda v: classify_trace(1.0, v), 0.0, 2.0, "[)", 1e-4),
     ("tol", lambda v: lane_traces([1.0], [math.nan], 1.0, tol=v), 1e-12, 1e-6, "[]", 1e-10),
+    ("tol", lambda v: lane_traces(1.0, math.nan, 1.0, tol=v), 1e-12, 1e-6, "[]", 1e-10),
+    ("tol", lambda v: tongues.trace_at(Plane.OMEGA, 1.0, 1.5, tol=v), 1e-12, 1e-6, "[]", 1e-10),
     ("threshold", lambda v: tongues.trace_level_bracket(Plane.GAMMA, 1, 1.0, threshold=v),
      0.0, 2.0, "(]", 1.9),
     ("bisect_tol", lambda v: tongues.trace_level_bracket(Plane.GAMMA, 1, 1.0, bisect_tol=v),

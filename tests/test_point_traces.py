@@ -2,6 +2,7 @@
 tongue bracket, and amplitudes so large that 2 (1 + delta^2) overflows."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hillduffing import (
     monodromy,
     omega_coefficient,
     period,
+    hill,
     tongues,
     trace_level_bracket,
 )
@@ -69,6 +71,32 @@ class TestPointTraces:
                 trace_at(plane, 1.0, 1.5)
         with pytest.raises(IntegrationFailure):
             mode_stability(ModePair(1, 2), 3.0)
+
+
+    @pytest.mark.parametrize("plane, y, failure", [
+        (Plane.GAMMA, -1e5, None),  # u reaches inf at tau = 1
+        (Plane.GAMMA, -1e6, "a lane failed on the gamma line"),  # overflows while stepping
+        (Plane.OMEGA, 1.25e154, "a lane failed on the omega line"),  # h^2 omega^2 overflows
+    ])
+    def test_overflowing_point_without_a_warning(self, plane, y, failure):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if failure is None:
+                assert trace_at(plane, 1.0, y) == math.inf
+            else:
+                with pytest.raises(IntegrationFailure, match=f"^{failure}$"):
+                    trace_at(plane, 1.0, y)
+
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, 1e-13, 1e-5, math.inf])
+    def test_bad_tol_raises_before_integrating(self, tol, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("integrated before checking tol")
+
+        monkeypatch.setattr(hill, "_cn2_series", forbidden)
+        monkeypatch.setattr(hill, "solve_hill_lanes", forbidden)
+        for plane in Plane:
+            with pytest.raises(DomainError, match="^tol must lie in "):
+                trace_at(plane, 1.0, 1.5, tol=tol)
 
 
 class TestHugeDelta:
