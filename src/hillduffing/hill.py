@@ -67,8 +67,8 @@ class MonodromyReport:
     """Monodromy matrix over one coefficient period and its classification.
 
     ``det_residual`` is |det M - 1|; the system is trace-free so the
-    Wronskian is conserved and the residual doubles as an integration
-    error estimate.  The multipliers are the eigenvalues of M, computed
+    Wronskian is conserved, and the residual is a sign of integration
+    error, not a measure of it.  The multipliers are the eigenvalues of M, computed
     from the trace through the det = 1 constraint.
     """
 
@@ -251,7 +251,8 @@ class LaneTraces:
     """Monodromy traces of a batch of lanes (NaN where a lane failed, +-inf where
     one overflowed), the integration work summed over every attempt, and the
     largest finite Wronskian residual |u1 u2' - u1' u2 - 1| at tau = 1 over the
-    finished lanes (the system is trace-free, so it is an error estimate)."""
+    finished lanes (the system is trace-free; the drift mostly reads below the
+    trace's error, so it is a sign of error, not a measure of it)."""
 
     trace: np.ndarray
     steps: int
@@ -344,13 +345,14 @@ def lane_traces(delta, a, b, tol: float = DEFAULT_TOL,
     tau = 0, -h_i^2 a_i - sum_n b_i D_n, is finite; a dead lane (a non-finite a_i
     or b_i, or an overflowing h_i^2 a_i) gets NaN and takes no part in its batch.
     Three Python floats (every ``tongues.trace_at``) are one point, set up on
-    floats from the amplitude rule to the kernel's first step (``_point_trace``),
-    and a batch with exactly one live lane solves it on the same routine
-    (``_solve_point``), so a lane gives the same trace, steps and RHS count either
-    way.  After a step-cap or step-size-underflow failure, and only then, each lane
-    of a batch of two or more is integrated again alone, and one that fails alone
-    gets NaN, without a numpy warning.  ``max_steps`` must be an integer >= 1.
-    Traces agree with ``monodromy`` within the integrator tolerance, not bit for bit.
+    floats up to the kernel (``_point_trace``); it gives the trace, steps, RHS
+    count and residual of a batch in which the same lane is the only live one,
+    which takes the kernel's one-lane branch too.  After a step-cap or
+    step-size-underflow failure, and only then, each lane of a batch of two or
+    more is integrated again alone, and one that fails alone gets NaN, without
+    a numpy warning.  ``max_steps`` must be an integer >= 1.  Traces are not
+    bit for bit ``monodromy``'s, and their error grows with the lane's
+    frequency, past the tolerance (README, "Numerical notes").
     """
     tol = _check_tol(tol)  # also when no lane is live
     max_steps = require_count("max_steps", max_steps, 1)
@@ -362,24 +364,9 @@ def lane_traces(delta, a, b, tol: float = DEFAULT_TOL,
     trace = np.full(a.shape, math.nan)  # written through trace.flat, lane by lane
     delta, a, b = delta.ravel(), a.ravel(), b.ravel()
     live = np.flatnonzero(valid_amplitude(delta))
-    if live.size == 1:  # a point solve: no deltas to share
-        h, d = _cn2_series(delta[live])
-    else:
-        uniq, where = np.unique(delta[live], return_inverse=True)
-        h, d = (v[where] for v in _cn2_series(uniq))
-    residual = 0.0
-
-    def solve_batch():
-        nonlocal residual
-        nbd = neg_bd.T
-        sol = solve_hill_lanes(lambda taus: neg_a + np.cos(np.multiply.outer(taus, _NPI)) @ nbd,
-                               live.size, tol, max_steps)
-        if sol.failure is None:
-            u1, u2, du1, du2 = sol.y
-            trace.flat[live] = 2.0 * (u1 * du2 + du1 * u2)
-            drift = np.abs(u1 * du2 - du1 * u2 - 1.0)
-            residual = float(drift[np.isfinite(drift)].max(initial=0.0))
-        return sol
+    uniq, where = np.unique(delta[live], return_inverse=True)
+    h, d = (v[where] for v in _cn2_series(uniq))
+    residual, runs = 0.0, []
 
     def solve_alone(i: int):
         nonlocal residual
@@ -392,12 +379,19 @@ def lane_traces(delta, a, b, tol: float = DEFAULT_TOL,
         neg_a, neg_bd = -h * h * a[live], -b[live, None] * d
         starts = np.isfinite(neg_a + neg_bd.sum(axis=1))  # c(0): the one liveness test
         live, neg_a, neg_bd = live[starts], neg_a[starts], neg_bd[starts]
-        runs, alone = [], live.size == 1
-        if live.size > 1:
-            sol = solve_batch()
-            runs, alone = [(sol.steps, sol.rhs_evals)], sol.failure is not None
-        if alone:  # the one live lane, or each lane of a batch that failed
-            runs += [solve_alone(i) for i in range(live.size)]
+        if live.size:
+            nbd = neg_bd.T
+            sol = solve_hill_lanes(
+                lambda taus: neg_a + np.cos(np.multiply.outer(taus, _NPI)) @ nbd,
+                live.size, tol, max_steps)
+            runs.append((sol.steps, sol.rhs_evals))
+            if sol.failure is None:
+                u1, u2, du1, du2 = sol.y
+                trace.flat[live] = 2.0 * (u1 * du2 + du1 * u2)
+                drift = np.abs(u1 * du2 - du1 * u2 - 1.0)
+                residual = float(drift[np.isfinite(drift)].max(initial=0.0))
+            elif live.size > 1:  # each lane of a batch that failed
+                runs += [solve_alone(i) for i in range(live.size)]
     return LaneTraces(trace, sum(r[0] for r in runs), sum(r[1] for r in runs), residual)
 
 

@@ -17,25 +17,19 @@ a general right-hand side, and on a linear second-order system DOP853 is
 a Runge-Kutta-Nystrom method (II.14) whose stages follow from the
 accelerations alone, so a pair of stages is one product and one multiply.
 A batch of one lane (every point solve: ``trace_at``, ``mode_stability``,
-bisections, refinements and reported peaks) takes scipy's initial step on
-floats, as closed forms of tol, c(0) and c(h0) at the start (1, 0, 0, 1),
-bit for bit the array rule's, folds c into the stage weights, so a level
-is one product, and takes its error norm on floats; batches of two or
-more lanes are unchanged bit for bit.  A one-lane
-trace can differ from the array path's at rounding level, as F = (c W) G
-there against c (W G).  Every attempt first bounds its stage rows by one
-product F . F, and only rows that fail that bound (huge, infinite or NaN
-entries, or too many for one BLAS thread) take the exact overflow tests.
-``solve_sampled`` runs the beam's long trajectories on the compiled DOP853
-(scipy's ``ode``), one call per sample time, so only the right-hand side
-and a step counter run in Python and every row is an integrated value.
+bisections, refinements and reported peaks) folds c into the stage
+weights, so a level is one product, and takes its error norm on floats;
+its trace can differ from the array path's at rounding level, as F = (c W)
+G there against c (W G).  ``solve_sampled`` runs the beam's long
+trajectories on the compiled DOP853 (scipy's ``ode``), one call per sample
+time, so only the right-hand side and a step counter run in Python and
+every row is an integrated value.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -195,17 +189,18 @@ def solve_lanes(
     if not t1 > t0:
         raise ValueError(f"need t1 > t0, got t0={t0!r}, t1={t1!r}")
     y0 = np.asarray(y0, dtype=float)
-    solver = _LaneDOP853(rhs, t0, y0.ravel(), t1, y0.shape[0], rtol=tol, atol=tol)
     steps, failure = 0, None
-    if not np.isfinite(solver.f).all():
-        failure = f"non-finite derivative at t0={solver.t}"
-    while failure is None and solver.status == "running":
-        solver.step()
-        steps += 1
-        if steps > max_steps:
-            failure = f"step cap {max_steps} exceeded at t={solver.t}"
-        elif solver.status == "failed":
-            failure = f"step size underflow at t={solver.t}"
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow ends as a failure
+        solver = _LaneDOP853(rhs, t0, y0.ravel(), t1, y0.shape[0], rtol=tol, atol=tol)
+        if not np.isfinite(solver.f).all():
+            failure = f"non-finite derivative at t0={solver.t}"
+        while failure is None and solver.status == "running":
+            solver.step()
+            steps += 1
+            if steps > max_steps:
+                failure = f"step cap {max_steps} exceeded at t={solver.t}"
+            elif solver.status == "failed":
+                failure = f"step size underflow at t={solver.t}"
     return LaneSolution(solver.y.reshape(y0.shape), steps, solver.nfev, failure)
 
 
@@ -238,40 +233,12 @@ def _nystrom_tableau():
 
 
 # the levels, step weights and stage sums, the largest |F| at which no stage
-# sum can overflow, a bound on F . F whose square root is below it, the stage
-# times of a step from t in units of h (stages 1..12), and the controller's
-# exponent
+# sum can overflow, the stage times of a step from t in units of h (stages
+# 1..12), and the controller's exponent
 _LEVELS, _WEIGHTS, _STAGE_SUMS = _nystrom_tableau()
 _F_SAFE = 1e300 / np.abs(_STAGE_SUMS).sum(axis=1).max()
-_F_GATE = sys.float_info.max  # its square root, 1.3e154, is far below _F_SAFE
-# OpenBLAS splits a dot of more than 10,000 entries over threads, which
-# oversubscribes the cores under a worker pool (the README omega chart at 2
-# workers took 2.2 s instead of 0.17 s on 2 cores): longer F take the exact tests
-_GATE_SIZE = 10_000
 _STAGE_C = np.append(DOP853.C[1:], 1.0)
 _EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
-
-
-def _stage_sums_overflow(f, f_flat) -> bool:
-    """Whether a stage sum A F of the rows ``f`` is not finite.  With ``f_flat``,
-    their flat view, F . F < ``_F_GATE`` bounds every |F| below ``_F_SAFE`` in one
-    product; a huge, infinite or NaN entry falls through to the exact tests, as
-    does an ``f_flat`` of None."""
-    if f_flat is not None and f_flat.dot(f_flat) < _F_GATE:
-        return False
-    return not np.abs(f).max() < _F_SAFE and not np.isfinite(_STAGE_SUMS @ f).all()
-
-
-def _first_h0(d0, d1):
-    """scipy's trial step h0 from the scaled norms d0 of y and d1 of f(y)."""
-    return min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, 1.0)
-
-
-def _first_step(h0, d1, d2):
-    """scipy's initial step from h0, d1 and the scaled norm d2 of (f1 - f0) / h0."""
-    h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
-          else (0.01 / max(d1, d2)) ** -_EXPONENT)
-    return min(100 * h0, h1, 1.0)
 
 
 def _lanes_first_step(coef, g, lanes, tol):
@@ -283,36 +250,13 @@ def _lanes_first_step(coef, g, lanes, tol):
     scale = tol + np.abs(y) * tol
     np.multiply(coef(np.zeros(1)), g[0].reshape(2, lanes), out=g[2].reshape(2, lanes))
     d0, d1 = _rms(y / scale), _rms(f0 / scale)
-    h0 = _first_h0(d0, d1)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, 1.0)
     y1 = y + h0 * f0
     f1 = np.concatenate((y1[n2:], (coef(np.full(1, h0)) * y1[:n2].reshape(2, lanes)).ravel()))
-    return _first_step(h0, d1, _rms((f1 - f0) / scale) / h0)
-
-
-def _rms4(*x):
-    """``_rms`` of four floats, in ``np.linalg.norm``'s order: sqrt(x . x) / 2."""
-    v = np.array(x)
-    return np.sqrt(v.dot(v)) / 2.0
-
-
-def _point_first_step(coef, g, tol):
-    """``_lanes_first_step`` of one lane, bit for bit, on floats.  At tau = 0 the
-    state y = (u1, u2, u1', u2') is (1, 0, 0, 1), so its scale (2 tol, tol, tol,
-    2 tol), f0 = (0, 1, c0, c0 0), y1 = y + h0 f0 and f1 are closed forms in tol,
-    c0 = c(0) and c1 = c(h0); only the two coefficients and the three norms
-    (numpy scalars, so a zero h0 divides as it does there) are computed."""
-    tol2 = tol + tol  # the scale of a component at 1
-    c0 = coef(np.zeros(1)).item()
-    z = c0 * 0.0  # c0 u2: 0, or NaN for an infinite c0
-    g[2] = c0, z
-    d0 = _rms4(1.0 / tol2, 0.0, 0.0, 1.0 / tol2)
-    d1 = _rms4(0.0, 1.0 / tol, c0 / tol, z / tol2)
-    h0 = _first_h0(d0, d1)
-    c1 = coef(np.array([h0])).item()
-    # y1 = (1, h0, h0 c0, 1 + h0 z), so f1 - f0 = (h0 c0, h0 z, c1 - c0, c1 h0 - z) up to
-    # the signs of zeros, which the squares drop (a c0 that is not finite makes h0 NaN)
-    d2 = _rms4(h0 * c0 / tol2, h0 * z / tol, (c1 - c0) / tol, (c1 * h0 - z) / tol2) / h0
-    return _first_step(h0, d1, d2)
+    d2 = _rms((f1 - f0) / scale) / h0
+    h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
+          else (0.01 / max(d1, d2)) ** -_EXPONENT)
+    return min(100 * h0, h1, 1.0)
 
 
 def solve_hill_lanes(
@@ -332,25 +276,22 @@ def solve_hill_lanes(
     all its stage times comes from one ``coef`` call, its weights from one
     product, each level of stages is one product with the rows [u; v; F_0
     ..] and one multiply by its coefficients, and the end state and error
-    estimates are one more product.  One lane (``lanes == 1``, every point
-    solve) takes a cheaper branch: its initial step is set up on floats
-    (``_point_first_step``, bit for bit ``_lanes_first_step``: at tau = 0 the
-    state is (1, 0, 0, 1), so only c(0), c(h0) and three norms are left to
-    compute), the stage rows of the weights are scaled by its 12 values of c
-    once per attempt, so a level is one product straight into its F rows,
-    and the error norm and scale are taken on floats (``_point_error_norm``,
-    bit for bit ``_lane_error_norm``).  Two or more lanes run the array path
-    unchanged, bit for bit; a one-lane trace can differ from it at rounding
-    level (F = (c W) G against c (W G)).  As in scipy, a step whose stage
-    sums A F are not finite is rejected (``_stage_sums_overflow``, whose
-    one-product gate F . F leaves every decision as it was); a c not finite
-    at tau = 0 (a lane that ``hill.lane_traces`` keeps out) fails the first
-    step as an underflow.  A huge F overflows numpy products, so callers run
-    the kernel under ``np.errstate(over="ignore", invalid="ignore")``, as
-    ``hill.lane_traces`` does.
-    Where a lane's error estimate is rounding noise and sets the step (a lane
-    that overflows or nearly does), the rounding differs from scipy's and the
-    batch can take a step or two more or fewer.
+    estimates are one more product.  Every batch takes the same initial
+    step (``_lanes_first_step``).  One lane (``lanes == 1``, every point
+    solve) then attempts its steps on a cheaper branch: the stage rows of
+    the weights are scaled by its 12 values of c once per attempt, so a
+    level is one product straight into its F rows, and the error norm and
+    scale are taken on floats (``_point_error_norm``, bit for bit
+    ``_lane_error_norm``).  A one-lane trace can differ from the same lane's
+    in a larger batch at rounding level (F = (c W) G against c (W G)).  As
+    in scipy, a step whose stage sums A F are not finite is rejected; a c
+    not finite at tau = 0 (a lane that ``hill.lane_traces`` keeps out)
+    fails the first step as an underflow.  A huge F overflows numpy
+    products, so callers run the kernel under ``np.errstate(over="ignore",
+    invalid="ignore")``, as ``hill.lane_traces`` does.  Where a lane's error
+    estimate is rounding noise and sets the step (a lane that overflows or
+    nearly does), the rounding differs from scipy's and the batch can take a
+    step or two more or fewer.
     """
     tol = _check_tol(tol)
     n, n2 = DOP853.n_stages, 2 * lanes
@@ -361,7 +302,6 @@ def solve_hill_lanes(
     k = n + 1 - _LEVELS[-1][0]
     rows, w = np.empty((k + 5, n2)), np.empty(_WEIGHTS.shape[1:])
     y, f = g[:2].ravel(), g[2:n + 2]
-    f_flat = f.ravel() if f.size <= _GATE_SIZE else None
     weights, point = _WEIGHTS.reshape(3, -1), lanes == 1
     if point:  # F = (c W) G: with c in the stage rows of w, a level is one product
         wc = np.empty((n, w.shape[1]))
@@ -375,7 +315,7 @@ def solve_hill_lanes(
         w_end, ends = w[n:], rows[k:]
         y_new, err = rows[k - 1:k + 1].ravel(), rows[k + 1:].reshape(2, -1)
 
-    h_abs = _point_first_step(coef, g, tol) if point else _lanes_first_step(coef, g, lanes, tol)
+    h_abs = _lanes_first_step(coef, g, lanes, tol)
     t, steps, attempts, failure = 0.0, 0, 0, None
     while failure is None and t < 1.0:
         min_step = 10 * math.ulp(t)
@@ -396,7 +336,7 @@ def solve_hill_lanes(
                     np.multiply(table[at], u_3d, out=f_level)
             np.dot(w_end, g, out=ends)
             attempts += 1
-            if _stage_sums_overflow(f, f_flat):
+            if not np.abs(f).max() < _F_SAFE and not np.isfinite(_STAGE_SUMS @ f).all():
                 norm = math.inf
             elif point:
                 norm = _point_error_norm(y.tolist(), ends.ravel().tolist(), h, tol)

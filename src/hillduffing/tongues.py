@@ -64,11 +64,11 @@ def axis_values(lo: float, hi: float, count: int) -> np.ndarray:
 
 
 def trace_at(plane: Plane, delta: float, y: float, tol: float = DEFAULT_TOL) -> float:
-    """Monodromy trace at one point of the chosen parameter plane, within the
-    integrator tolerance of ``monodromy``.  A point with no coefficient raises the
+    """Monodromy trace at one point of the chosen parameter plane, on the lane
+    kernel (not bit for bit ``monodromy``'s).  A point with no coefficient raises the
     ``DomainError`` of ``Plane.params``; a failed lane raises ``IntegrationFailure``.
     The lane (a, b) = (w y, w) is formed on floats and ``lane_traces`` sets it up
-    on floats to the kernel's first step, bit for bit the one-lane ``_line`` value."""
+    on floats up to the kernel, bit for bit the one-lane ``_line`` value."""
     plane.params(delta, y)
     y = float(y)
     w = plane.scale(y)  # positive: Plane.params accepts no other
@@ -179,7 +179,7 @@ def scan(
 
     Each block of whole columns from ``map_columns`` is integrated by
     ``hill.lane_traces`` as one batch of lanes to half the period.  Traces
-    therefore agree with ``trace_at`` within the integrator tolerance, not
+    therefore differ from ``trace_at``'s within the integration error, not
     bit for bit, and the output is byte-identical for any number of
     workers.  Cells whose coefficient is invalid (delta = 0, omega <= 0) or
     whose integration fails alone are recorded as NaN; the scan itself

@@ -132,6 +132,17 @@ class TestMonodromy:
         with pytest.raises(IntegrationFailure):
             monodromy(p, max_steps=5)
 
+    @pytest.mark.parametrize("p, at", [
+        (mathieu_coefficient(-1e5, 0.0), "2.1985609906172905"),
+        (mathieu_coefficient(-1e6, 0.0), "0.6928128202008138"),
+        (squared_duffing_coefficient(1.0, -1e5), "2.1985658315747925"),
+    ])
+    def test_overflow_raises_without_a_warning(self, p, at):
+        # the solution overflows while stepping until the step size underflows;
+        # the suite turns any numpy warning on the way into an error
+        with pytest.raises(IntegrationFailure, match=f"^step size underflow at t={at}$"):
+            monodromy(p)
+
     def test_tol_outside_contract_rejected(self):
         p = squared_duffing_coefficient(1.0, 1.0)
         with pytest.raises(ValueError):

@@ -54,6 +54,20 @@ class TestDeadLanes:
     def test_gamma_whose_scaled_coefficient_overflows(self):
         _assert_dead_lane_is_free([0.01, 0.5, 1.0], [1e308, 2.0, 3.0], 1.0, 0)
 
+    @pytest.mark.parametrize("dead_a", [math.nan, 1.5e308])
+    @pytest.mark.parametrize("dead", [0, 1])
+    def test_one_live_lane_is_the_point(self, dead_a, dead):
+        # a batch whose one live lane is (1.0, 4.0, 1.0) solves it as the
+        # float point does: a NaN a, or an h^2 a that overflows, is dead
+        a = [4.0, 4.0]
+        a[dead] = dead_a
+        got = lane_traces([1.0, 1.0], a, [1.0, 1.0])
+        point = lane_traces(1.0, 4.0, 1.0)
+        assert math.isnan(got.trace[dead])
+        assert got.trace[1 - dead].tobytes() == point.trace.tobytes()
+        assert (got.steps, got.rhs_evals, got.det_residual) == (
+            point.steps, point.rhs_evals, point.det_residual)
+
     def test_a_batch_of_dead_lanes_does_no_work(self):
         got = lane_traces([1.0, 0.01, 1.0], [math.nan, 1e308, 1.0], [1.0, 1.0, math.inf])
         assert np.isnan(got.trace).all()
