@@ -24,6 +24,11 @@ def valid_amplitude(delta):
     return (delta != 0.0) & (abs(delta) <= _DELTA_MAX)
 
 
+def _modulus(delta):
+    """``DuffingParams(delta).modulus`` of a delta that ``valid_amplitude`` accepts."""
+    return abs(delta) / math.sqrt(2.0 * (1.0 + delta * delta))
+
+
 @dataclass(frozen=True)
 class DuffingParams:
     """Initial semi-amplitude and frequency-ratio scale of a Duffing solution.
@@ -44,8 +49,7 @@ class DuffingParams:
     @property
     def modulus(self) -> float:
         """Elliptic modulus |delta| / sqrt(2 (1 + delta^2)), always < 1/sqrt(2)."""
-        d2 = self.delta * self.delta
-        return abs(self.delta) / math.sqrt(2.0 * (1.0 + d2))
+        return _modulus(self.delta)
 
     @property
     def argument_rate(self) -> float:

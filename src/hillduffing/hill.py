@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from . import elliptic
-from .duffing import DuffingParams, period, valid_amplitude
+from .duffing import DuffingParams, _modulus, period, valid_amplitude
 from .errors import DomainError, require_count, require_finite, require_in
 from .integrate import DEFAULT_MAX_STEPS, _check_tol, solve_final, solve_hill_lanes
 
@@ -267,8 +267,9 @@ _N2, _D_SCALE = 2 * _N, 4.0 * math.pi**2 * _N
 
 
 def _nome(x: float) -> tuple[float, float]:
-    """K(k) and the nome q = exp(-pi K(k') / K(k)) of the modulus at delta = x."""
-    k = DuffingParams(x).modulus
+    """K(k) and the nome q = exp(-pi K(k') / K(k)) of the modulus at delta = x, a delta
+    that ``valid_amplitude`` accepts."""
+    k = _modulus(x)
     K = elliptic.complete_K(k)
     kp = math.sqrt((1.0 - k) * (1.0 + k))  # is 1 only for |delta| < 1e-8, where q < 1e-17
     # math.exp: np.exp may round otherwise
@@ -299,19 +300,14 @@ def _cn2_series(delta):
 
 def _point_trace(delta: float, a: float, b: float, tol: float, max_steps: int):
     """``lane_traces`` of one lane (delta, a, b) on floats, under its ``errstate``:
-    (trace, steps, rhs_evals, det_residual), the trace NaN for a dead lane."""
+    (trace, steps, rhs_evals, det_residual), the trace NaN for a dead lane or a
+    failed solve."""
     if not valid_amplitude(delta):
         return math.nan, 0, 0, 0.0
     h, d = _cn2_series(delta)
     neg_a, neg_bd = -h * h * a, -b * d
     if not math.isfinite(neg_a + neg_bd.sum()):  # c(0): the one liveness test
         return math.nan, 0, 0, 0.0
-    return _solve_point(neg_a, neg_bd, tol, max_steps)
-
-
-def _solve_point(neg_a: float, neg_bd: np.ndarray, tol: float, max_steps: int):
-    """One live lane of ``lane_traces``, c(tau) = -h^2 a - sum b D_n cos(n pi tau):
-    (trace, steps, rhs_evals, det_residual), the trace NaN if the solve failed."""
     nbd = neg_bd[:, None]
     sol = solve_hill_lanes(lambda taus: neg_a + np.cos(np.multiply.outer(taus, _NPI)) @ nbd,
                            1, tol, max_steps)
@@ -349,9 +345,9 @@ def lane_traces(delta, a, b, tol: float = DEFAULT_TOL,
     count and residual of a batch in which the same lane is the only live one,
     which takes the kernel's one-lane branch too.  After a step-cap or
     step-size-underflow failure, and only then, each lane of a batch of two or
-    more is integrated again alone, and one that fails alone gets NaN, without
-    a numpy warning.  ``max_steps`` must be an integer >= 1.  Traces are not
-    bit for bit ``monodromy``'s, and their error grows with the lane's
+    more runs again as its float point, and one that fails alone gets NaN,
+    without a numpy warning.  ``max_steps`` must be an integer >= 1.  Traces
+    are not bit for bit ``monodromy``'s, and their error grows with the lane's
     frequency, past the tolerance (README, "Numerical notes").
     """
     tol = _check_tol(tol)  # also when no lane is live
@@ -367,20 +363,11 @@ def lane_traces(delta, a, b, tol: float = DEFAULT_TOL,
     uniq, where = np.unique(delta[live], return_inverse=True)
     h, d = (v[where] for v in _cn2_series(uniq))
     residual, runs = 0.0, []
-
-    def solve_alone(i: int):
-        nonlocal residual
-        lane_trace, steps, rhs_evals, drift = _solve_point(float(neg_a[i]), neg_bd[i], tol,
-                                                           max_steps)
-        trace.flat[live[i]], residual = lane_trace, max(residual, drift)
-        return steps, rhs_evals
-
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing lane reads +-inf
         neg_a, neg_bd = -h * h * a[live], -b[live, None] * d
         starts = np.isfinite(neg_a + neg_bd.sum(axis=1))  # c(0): the one liveness test
-        live, neg_a, neg_bd = live[starts], neg_a[starts], neg_bd[starts]
+        live, neg_a, nbd = live[starts], neg_a[starts], neg_bd[starts].T
         if live.size:
-            nbd = neg_bd.T
             sol = solve_hill_lanes(
                 lambda taus: neg_a + np.cos(np.multiply.outer(taus, _NPI)) @ nbd,
                 live.size, tol, max_steps)
@@ -390,8 +377,12 @@ def lane_traces(delta, a, b, tol: float = DEFAULT_TOL,
                 trace.flat[live] = 2.0 * (u1 * du2 + du1 * u2)
                 drift = np.abs(u1 * du2 - du1 * u2 - 1.0)
                 residual = float(drift[np.isfinite(drift)].max(initial=0.0))
-            elif live.size > 1:  # each lane of a batch that failed
-                runs += [solve_alone(i) for i in range(live.size)]
+            elif live.size > 1:  # each lane of a batch that failed, as a point
+                for i in live.tolist():
+                    trace.flat[i], *work, drift = _point_trace(
+                        float(delta[i]), float(a[i]), float(b[i]), tol, max_steps)
+                    runs.append(work)
+                    residual = max(residual, drift)
     return LaneTraces(trace, sum(r[0] for r in runs), sum(r[1] for r in runs), residual)
 
 

@@ -15,8 +15,9 @@ tableau and controller: all stage times of a step are known when it
 starts (II.4), so one coefficient table per step replaces twelve calls of
 a general right-hand side, and on a linear second-order system DOP853 is
 a Runge-Kutta-Nystrom method (II.14) whose stages follow from the
-accelerations alone, so a pair of stages is one product and one multiply.
-A batch of one lane (every point solve: ``trace_at``, ``mode_stability``,
+accelerations alone, so a pair of stages is one product and one multiply
+in place in its own rows, and six end rows take the new state and both
+error sums.  One lane (every point solve: ``trace_at``, ``mode_stability``,
 bisections, refinements and reported peaks) folds c into the stage
 weights, so a level is one product, and takes its error norm on floats;
 its trace can differ from the array path's at rounding level, as F = (c W)
@@ -274,9 +275,10 @@ def solve_hill_lanes(
     step and right-hand-side counts are the same and the traces agree within
     rounding.  A step is DOP853 in Nystrom form (``_nystrom_tableau``): c at
     all its stage times comes from one ``coef`` call, its weights from one
-    product, each level of stages is one product with the rows [u; v; F_0
-    ..] and one multiply by its coefficients, and the end state and error
-    estimates are one more product.  Every batch takes the same initial
+    product, each level of stages (one plan, the step's end in the last) is
+    one product with the rows [u; v; F_0 ..] into its own F rows, U, and
+    one multiply there, F = c U, and the six end rows u_new, v_new and the
+    E5 and E3 sums are one more product.  Every batch takes the same initial
     step (``_lanes_first_step``).  One lane (``lanes == 1``, every point
     solve) then attempts its steps on a cheaper branch: the stage rows of
     the weights are scaled by its 12 values of c once per attempt, so a
@@ -297,23 +299,15 @@ def solve_hill_lanes(
     n, n2 = DOP853.n_stages, 2 * lanes
     g = np.zeros((n + 3, n2))  # the rows u, v, F_0 .. F_n, each (2, lanes)
     g[0, :lanes] = g[1, lanes:] = 1.0  # u1 = u2' = 1 at tau = 0
-    # the U rows of the last level (u_new last), v_new and the E5 and E3 sums
-    # (u and v halves); the other levels put U in their F rows
-    k = n + 1 - _LEVELS[-1][0]
-    rows, w = np.empty((k + 5, n2)), np.empty(_WEIGHTS.shape[1:])
-    y, f = g[:2].ravel(), g[2:n + 2]
+    # the end rows u_new, v_new and the E5 and E3 sums (u and v halves)
+    rows, w = np.empty((6, n2)), np.empty(_WEIGHTS.shape[1:])
+    y, y_new, f, err = g[:2].ravel(), rows[:2].ravel(), g[2:n + 2], rows[2:].reshape(2, -1)
     weights, point = _WEIGHTS.reshape(3, -1), lanes == 1
-    if point:  # F = (c W) G: with c in the stage rows of w, a level is one product
-        wc = np.empty((n, w.shape[1]))
-        levels = [(wc[s0 - 1:s1 - 1, :s0 + 2], g[:s0 + 2], g[s0 + 2:s1 + 2])
-                  for s0, s1 in _LEVELS]
-        w_end, ends = w[n - 1:], rows[k - 1:]  # u_new (its row unscaled), v_new, E5, E3
-    else:
-        levels = [(w[s0 - 1:s1 - 1, :s0 + 2], g[:s0 + 2], u, slice(s0 - 1, s1 - 1),
-                   u.reshape(-1, 2, lanes), g[s0 + 2:s1 + 2].reshape(-1, 2, lanes))
-                  for s0, s1 in _LEVELS for u in [rows[:k] if s1 > n else g[s0 + 2:s1 + 2]]]
-        w_end, ends = w[n:], rows[k:]
-        y_new, err = rows[k - 1:k + 1].ravel(), rows[k + 1:].reshape(2, -1)
+    # F = (c W) G for one lane, with c in the stage rows of wc; else U = W G, then F = c U
+    wc = np.empty((n, w.shape[1])) if point else w
+    levels = [(wc[s0 - 1:s1 - 1, :s0 + 2], g[:s0 + 2], f_level, slice(s0 - 1, s1 - 1),
+               f_level.reshape(-1, 2, lanes))
+              for s0, s1 in _LEVELS for f_level in [g[s0 + 2:s1 + 2]]]
 
     h_abs = _lanes_first_step(coef, g, lanes, tol)
     t, steps, attempts, failure = 0.0, 0, 0, None
@@ -327,19 +321,18 @@ def solve_hill_lanes(
             np.dot((1.0, h, h * h), weights, out=w.reshape(-1))
             if point:
                 np.multiply(w[:n], table, out=wc)
-                for w_level, g_used, f_level in levels:
-                    np.dot(w_level, g_used, out=f_level)
             else:
                 table = table[:, None]
-                for w_level, g_used, u_level, at, u_3d, f_level in levels:  # F = c U by level
-                    np.dot(w_level, g_used, out=u_level)
-                    np.multiply(table[at], u_3d, out=f_level)
-            np.dot(w_end, g, out=ends)
+            for w_level, g_used, f_level, at, f_3d in levels:  # each level in its F rows
+                np.dot(w_level, g_used, out=f_level)
+                if not point:
+                    np.multiply(table[at], f_3d, out=f_3d)
+            np.dot(w[n - 1:], g, out=rows)
             attempts += 1
             if not np.abs(f).max() < _F_SAFE and not np.isfinite(_STAGE_SUMS @ f).all():
                 norm = math.inf
             elif point:
-                norm = _point_error_norm(y.tolist(), ends.ravel().tolist(), h, tol)
+                norm = _point_error_norm(y.tolist(), rows.ravel().tolist(), h, tol)
             else:
                 scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
                 norm = _lane_error_norm(err, h, scale, 4)
@@ -347,7 +340,7 @@ def solve_hill_lanes(
             if norm < 1:
                 h_abs *= min(10.0, factor, 1.0 if rejected else 10.0)
                 t, accepted = t_new, True
-                g[:2], g[2] = rows[k - 1:k + 1], g[n + 2]
+                g[:2], g[2] = rows[:2], g[n + 2]
             else:
                 h_abs *= max(0.2, factor)
                 rejected = True

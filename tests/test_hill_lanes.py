@@ -105,6 +105,17 @@ class TestAgainstScipyDOP853:
         got = _assert_same_run([1.0, 2.0], [0.5, 900.0], 1.0, max_steps=20)
         assert np.isnan(got.trace).tolist() == [False, True]
 
+    def test_rounding_noise_can_set_the_step(self):
+        # the second lane overflows to inf; where its error estimate is rounding
+        # noise and sets the step, the kernel rounds unlike scipy: one step more
+        args = [1.0, 1.0], [0.5, -1e5], 1.0
+        got = lane_traces(*args, tol=1e-12)
+        trace, steps, rhs_evals = _reference(*args, tol=1e-12)
+        assert (got.steps, got.rhs_evals) == (2053, 24638)
+        assert (steps, rhs_evals) == (2052, 24626)
+        np.testing.assert_allclose(got.trace, trace, rtol=1e-13, atol=1e-13)
+        assert got.trace[1] == math.inf
+
 
 class TestWronskianResidual:
     def test_block_at_the_default_tolerance(self):

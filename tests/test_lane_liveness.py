@@ -74,6 +74,27 @@ class TestDeadLanes:
         assert (got.steps, got.rhs_evals, got.det_residual) == (0, 0, 0.0)
 
 
+class TestFailedBatchReruns:
+    """Each lane of a failed batch of two or more runs again as its float point."""
+
+    @pytest.mark.parametrize("delta, a, max_steps, work", [
+        # lane 2 hits the step cap, in the batch and alone
+        ([1.0, 2.0], [0.5, 900.0], 20, (50, 606)),
+        # lane 2 starts finite but so large that the batch's first step underflows
+        ([1.0, 2.0, 1.5], [0.5, 1e308, 2.0], 10_000_000, (19, 236)),
+    ])
+    def test_lanes_are_the_points(self, delta, a, max_steps, work):
+        got = lane_traces(delta, a, 1.0, max_steps=max_steps)
+        points = [lane_traces(float(d), float(x), 1.0, max_steps=max_steps)
+                  for d, x in zip(delta, a)]
+        assert got.trace.tobytes() == np.array([p.trace for p in points]).tobytes()
+        assert math.isnan(got.trace[1]) and not np.isnan(got.trace[::2]).any()
+        assert got.det_residual == max(p.det_residual for p in points) > 0.0
+        # the failed batch's own run comes first
+        assert (got.steps, got.rhs_evals) == work
+        assert got.steps > sum(p.steps for p in points)
+
+
 def test_kernel_underflows_at_once_on_a_non_finite_start():
     # the kernel has no start check of its own: such a lane fails the first step
     with np.errstate(over="ignore", invalid="ignore"):
