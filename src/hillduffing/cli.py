@@ -53,9 +53,11 @@ def _workers(args: argparse.Namespace) -> int:
     if not env:
         return args.workers
     try:
-        return require_count("HILLDUFFING_WORKERS", int(env), 1)
-    except ValueError:  # not an integer, or the DomainError of require_count
-        raise DomainError(f"HILLDUFFING_WORKERS must be an integer >= 1, got {env!r}") from None
+        count = int(env)
+    except ValueError:  # not an integer; require_count words every other rejection
+        raise DomainError("HILLDUFFING_WORKERS must be an integer >= 1 and <= 2^53, "
+                          f"got {env!r}") from None
+    return require_count("HILLDUFFING_WORKERS", count, 1)
 
 
 def _write_text(path: str, lines) -> None:

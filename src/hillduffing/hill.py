@@ -279,44 +279,15 @@ def _nome(x: float) -> tuple[float, float]:
 def _cn2_series(delta):
     """Half period h = K(k) / sqrt(1 + delta^2) of delta^2 cn^2(sqrt(1 + delta^2) s, k), and
     the D_n of h^2 delta^2 cn^2(K tau, k) = sum D_n cos(n pi tau), tau = s / h (DLMF 22.11.13).
-    For a float, h is a float and D has shape (13,); for an array of U deltas, h has
-    shape (U,) and D shape (U, 13), each row bit for bit what its float gives (the D_n
-    stay numpy's q**n in both forms, which differs from Python's ``q ** n``)."""
-    if np.ndim(delta) == 0:
-        x = float(delta)
-        K, q = _nome(x)
-        h = K / math.sqrt(1.0 + x * x)
-        d = np.empty(_TERMS)
-        np.divide(_D_SCALE * q**_N, 1.0 - q**_N2, out=d[1:])
-        d[0] = h * h * x * x - d[1:].sum()  # as cn(0) = 1
-        return h, d
-    delta = np.asarray(delta, dtype=float)
-    K, q = np.array([_nome(x) for x in delta.tolist()]).reshape(-1, 2).T
+    For an array of U deltas, h has shape (U,) and D shape (U, 13); a float is the
+    one-row batch, h a float and D its row of shape (13,)."""
+    x = np.atleast_1d(np.asarray(delta, dtype=float))
+    K, q = np.array([_nome(v) for v in x.tolist()]).reshape(-1, 2).T
     q = q[:, None]
     d = _D_SCALE * q**_N / (1.0 - q**_N2)
-    h = K / np.sqrt(1.0 + delta * delta)
-    return h, np.column_stack((h * h * delta * delta - d.sum(axis=1), d))  # as cn(0) = 1
-
-
-def _point_trace(delta: float, a: float, b: float, tol: float, max_steps: int):
-    """``lane_traces`` of one lane (delta, a, b) on floats, under its ``errstate``:
-    (trace, steps, rhs_evals, det_residual), the trace NaN for a dead lane or a
-    failed solve."""
-    if not valid_amplitude(delta):
-        return math.nan, 0, 0, 0.0
-    h, d = _cn2_series(delta)
-    neg_a, neg_bd = -h * h * a, -b * d
-    if not math.isfinite(neg_a + neg_bd.sum()):  # c(0): the one liveness test
-        return math.nan, 0, 0, 0.0
-    nbd = neg_bd[:, None]
-    sol = solve_hill_lanes(lambda taus: neg_a + np.cos(np.multiply.outer(taus, _NPI)) @ nbd,
-                           1, tol, max_steps)
-    if sol.failure is not None:
-        return math.nan, sol.steps, sol.rhs_evals, 0.0
-    u1, u2, du1, du2 = sol.y.ravel().tolist()
-    drift = abs(u1 * du2 - du1 * u2 - 1.0)
-    return (2.0 * (u1 * du2 + du1 * u2), sol.steps, sol.rhs_evals,
-            drift if math.isfinite(drift) else 0.0)
+    h = K / np.sqrt(1.0 + x * x)
+    d = np.column_stack((h * h * x * x - d.sum(axis=1), d))  # as cn(0) = 1
+    return (float(h[0]), d[0]) if np.ndim(delta) == 0 else (h, d)
 
 
 def lane_traces(delta, a, b, tol: float = DEFAULT_TOL,
@@ -341,21 +312,35 @@ def lane_traces(delta, a, b, tol: float = DEFAULT_TOL,
     tau = 0, -h_i^2 a_i - sum_n b_i D_n, is finite; a dead lane (a non-finite a_i
     or b_i, or an overflowing h_i^2 a_i) gets NaN and takes no part in its batch.
     Three Python floats (every ``tongues.trace_at``) are one point, set up on
-    floats up to the kernel (``_point_trace``); it gives the trace, steps, RHS
-    count and residual of a batch in which the same lane is the only live one,
-    which takes the kernel's one-lane branch too.  After a step-cap or
+    floats up to the kernel and read back on floats; it gives the trace, steps,
+    RHS count and residual of a batch in which the same lane is the only live
+    one, which takes the kernel's one-lane branch too.  After a step-cap or
     step-size-underflow failure, and only then, each lane of a batch of two or
-    more runs again as its float point, and one that fails alone gets NaN,
-    without a numpy warning.  ``max_steps`` must be an integer >= 1.  Traces
-    are not bit for bit ``monodromy``'s, and their error grows with the lane's
-    frequency, past the tolerance (README, "Numerical notes").
+    more runs again through this call as its float point, and one that fails
+    alone gets NaN, without a numpy warning.  ``max_steps`` must be an integer
+    >= 1.  Traces are not bit for bit ``monodromy``'s, and their error grows
+    with the lane's frequency, past the tolerance (README, "Numerical notes").
     """
     tol = _check_tol(tol)  # also when no lane is live
     max_steps = require_count("max_steps", max_steps, 1)
     if type(delta) is type(a) is type(b) is float:  # one point: no arrays to broadcast
-        with np.errstate(over="ignore", invalid="ignore"):
-            trace, *work = _point_trace(delta, a, b, tol, max_steps)
-        return LaneTraces(np.array(trace), *work)
+        if not valid_amplitude(delta):
+            return LaneTraces(np.array(math.nan), 0, 0)
+        h, d = _cn2_series(delta)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing lane reads +-inf
+            neg_a, neg_bd = -h * h * a, -b * d
+            if not math.isfinite(neg_a + neg_bd.sum()):  # c(0): the one liveness test
+                return LaneTraces(np.array(math.nan), 0, 0)
+            nbd = neg_bd[:, None]
+            sol = solve_hill_lanes(
+                lambda taus: neg_a + np.cos(np.multiply.outer(taus, _NPI)) @ nbd,
+                1, tol, max_steps)
+        if sol.failure is not None:
+            return LaneTraces(np.array(math.nan), sol.steps, sol.rhs_evals)
+        u1, u2, du1, du2 = sol.y.ravel().tolist()
+        drift = abs(u1 * du2 - du1 * u2 - 1.0)
+        return LaneTraces(np.array(2.0 * (u1 * du2 + du1 * u2)), sol.steps, sol.rhs_evals,
+                          drift if math.isfinite(drift) else 0.0)
     delta, a, b = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (delta, a, b)))
     trace = np.full(a.shape, math.nan)  # written through trace.flat, lane by lane
     delta, a, b = delta.ravel(), a.ravel(), b.ravel()
@@ -371,7 +356,7 @@ def lane_traces(delta, a, b, tol: float = DEFAULT_TOL,
             sol = solve_hill_lanes(
                 lambda taus: neg_a + np.cos(np.multiply.outer(taus, _NPI)) @ nbd,
                 live.size, tol, max_steps)
-            runs.append((sol.steps, sol.rhs_evals))
+            runs.append(sol)
             if sol.failure is None:
                 u1, u2, du1, du2 = sol.y
                 trace.flat[live] = 2.0 * (u1 * du2 + du1 * u2)
@@ -379,11 +364,11 @@ def lane_traces(delta, a, b, tol: float = DEFAULT_TOL,
                 residual = float(drift[np.isfinite(drift)].max(initial=0.0))
             elif live.size > 1:  # each lane of a batch that failed, as a point
                 for i in live.tolist():
-                    trace.flat[i], *work, drift = _point_trace(
-                        float(delta[i]), float(a[i]), float(b[i]), tol, max_steps)
-                    runs.append(work)
-                    residual = max(residual, drift)
-    return LaneTraces(trace, sum(r[0] for r in runs), sum(r[1] for r in runs), residual)
+                    point = lane_traces(float(delta[i]), float(a[i]), float(b[i]), tol, max_steps)
+                    trace.flat[i] = point.trace
+                    runs.append(point)
+                    residual = max(residual, point.det_residual)
+    return LaneTraces(trace, sum(r.steps for r in runs), sum(r.rhs_evals for r in runs), residual)
 
 
 class ExactLine(enum.Enum):

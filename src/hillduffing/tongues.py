@@ -256,8 +256,10 @@ class TongueBoundarySample:
     """Located |trace| = threshold crossings around one tongue at fixed delta.
 
     ``lower`` and ``upper`` are the two crossing parameters (gamma or
-    omega), each within the bisection tolerance; ``peak`` is the refined
-    interior maximum of |trace| that seeded the bisection.
+    omega), each within the bisection tolerance; ``peak`` is the point that
+    seeded the walks, and ``peak_trace`` |trace| there: the highest window
+    sample when one passes the threshold, taken unrefined, else a refined near
+    miss, so neither need be the tongue's maximum.
     """
 
     ell: int

@@ -237,3 +237,12 @@ class TestBatchedWalk:
             self._serial(profile, peak, step, +1, y_floor)
         assert brackets == [self._serial(profile, peak, step, -1, y_floor)]
         assert sum(y > peak for y in walked) == 200
+
+
+def test_readme_closed_tongue_peak():
+    # README: the second gamma tongue at delta = 0.2 peaks at |trace| = 2 - 1e-13,
+    # closed at double precision; the bracket's peak_trace is a window sample below it
+    y, peak = tongues._refine_peak(lambda y: abs(trace_at(Plane.GAMMA, 0.2, y, tol=1e-12)),
+                                   4.09, 4.11, 1e-9)
+    assert abs(peak - 2.0) < 1e-12
+    assert 4.0999 < y < 4.1000

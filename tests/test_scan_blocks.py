@@ -140,6 +140,20 @@ def test_bad_workers_flag_is_named(tmp_path, capsys):
     assert not (tmp_path / "c.csv").exists()
 
 
+@pytest.mark.parametrize("count", [0, 2**53 + 1])
+def test_workers_variable_states_the_flags_bounds(count, tmp_path, capsys, monkeypatch):
+    argv = ["scan", "--plane", "gamma", "--x", "0.5:1:2", "--y", "0:1:2",
+            "--out", str(tmp_path / "s")]
+    monkeypatch.setenv("HILLDUFFING_WORKERS", str(count))
+    assert main(argv) == 2
+    bounds = f"must be an integer >= 1 and <= 2^53, got {count}\n"
+    assert capsys.readouterr().err == f"error: HILLDUFFING_WORKERS {bounds}"
+    monkeypatch.delenv("HILLDUFFING_WORKERS")
+    assert main(argv + ["--workers", str(count)]) == 2
+    assert capsys.readouterr().err == f"error: workers {bounds}"
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_scan_csv_rows_format_every_cell_as_before():
     grid = scan(Plane.OMEGA, (-0.5, 1.0), (0.0, 2.0), (4, 5))
     want = ["x,y,trace,class"]
