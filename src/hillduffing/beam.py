@@ -22,10 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .duffing import DuffingParams, period
-from .errors import DomainError, require_count, require_in
+from .errors import DomainError, IntegrationFailure, require_count, require_in
 from .hill import DEFAULT_TOL, DEFAULT_TOL_BOUNDARY, Plane, Stability, classify_trace
 from .hill import monodromy  # noqa: F401  (bench/spans.py patches beam.monodromy)
-from .integrate import solve_sampled
+from .integrate import DEFAULT_MAX_STEPS, solve_sampled
 from .tongues import trace_at
 
 # |z| must exceed this multiple of its initial amplitude to count as an
@@ -140,7 +140,10 @@ def simulate(
     times its initial amplitude within the horizon (default horizon:
     50 periods of the omega-scaled single-mode solution).  The trajectory
     is integrated at full adaptive resolution and down-sampled to
-    ``samples`` rows for output.
+    ``samples`` rows for output.  DOP853 takes more than one step per period of
+    the w mode, so a horizon spanning more of those periods than the step cap
+    ``integrate.DEFAULT_MAX_STEPS`` raises ``IntegrationFailure`` before any
+    step (the default horizons span 50 m n of them).
     """
     params = DuffingParams(delta, pair.omega)
     require_in("z_ratio", z_ratio, 0.0, 0.1, "(]")
@@ -149,6 +152,10 @@ def simulate(
     require_in("horizon", horizon, 0.0, math.inf)
     require_in("growth_factor", growth_factor, 1.0, math.inf)
     samples = require_count("samples", samples, 1)
+    periods = horizon * pair.m * pair.n / period(params)  # w's period is period(params) / (m n)
+    if periods > DEFAULT_MAX_STEPS:
+        raise IntegrationFailure(f"horizon {horizon!r} spans {periods:.3g} periods of the w "
+                                 f"mode, over the step cap of {DEFAULT_MAX_STEPS} steps")
 
     # sample densely enough to resolve the fast mode's envelope
     fast = max(pair.m, pair.n) ** 2

@@ -249,10 +249,11 @@ def monodromy(
 @dataclass(frozen=True)
 class LaneTraces:
     """Monodromy traces of a batch of lanes (NaN where a lane failed, +-inf where
-    one overflowed), the integration work summed over every attempt, and the
-    largest finite Wronskian residual |u1 u2' - u1' u2 - 1| at tau = 1 over the
-    finished lanes (the system is trace-free; the drift mostly reads below the
-    trace's error, so it is a sign of error, not a measure of it)."""
+    one overflowed; 0-d for a point), the integration work summed over every
+    attempt, and the largest finite Wronskian residual |u1 u2' - u1' u2 - 1| at
+    tau = 1 over the finished lanes (the system is trace-free; the drift mostly
+    reads below the trace's error, so it is a sign of error, not a measure of it).
+    ``lane_traces`` reads a point's back in the same tail as a batch's."""
 
     trace: np.ndarray
     steps: int
@@ -311,42 +312,32 @@ def lane_traces(delta, a, b, tol: float = DEFAULT_TOL,
     A lane is live when ``DuffingParams`` accepts its delta and its coefficient at
     tau = 0, -h_i^2 a_i - sum_n b_i D_n, is finite; a dead lane (a non-finite a_i
     or b_i, or an overflowing h_i^2 a_i) gets NaN and takes no part in its batch.
-    Three Python floats (every ``tongues.trace_at``) are one point, set up on
-    floats up to the kernel and read back on floats; it gives the trace, steps,
-    RHS count and residual of a batch in which the same lane is the only live
-    one, which takes the kernel's one-lane branch too.  After a step-cap or
-    step-size-underflow failure, and only then, each lane of a batch of two or
-    more runs again through this call as its float point, and one that fails
-    alone gets NaN, without a numpy warning.  ``max_steps`` must be an integer
-    >= 1.  Traces are not bit for bit ``monodromy``'s, and their error grows
-    with the lane's frequency, past the tolerance (README, "Numerical notes").
+    Three Python floats (every ``tongues.trace_at``) are one point: its amplitude
+    rule and series row are taken on floats, and it then goes as one-element arrays
+    through the tail every batch runs (the liveness test, the kernel call, the
+    failure rule and the read-back of trace and drift), so it gives the trace (0-d),
+    steps, RHS count and residual of a batch in which the same lane is the only
+    live one.  After a step-cap or step-size-underflow failure, and only then,
+    each lane of a batch of two or more runs again through this call as its float
+    point; a lane that fails alone gets NaN, its work counted, without a numpy
+    warning.  ``max_steps`` must be an integer >= 1.  Traces are not bit for bit
+    ``monodromy``'s, and their error grows with the lane's frequency, past the
+    tolerance (README, "Numerical notes").
     """
     tol = _check_tol(tol)  # also when no lane is live
     max_steps = require_count("max_steps", max_steps, 1)
     if type(delta) is type(a) is type(b) is float:  # one point: no arrays to broadcast
         if not valid_amplitude(delta):
             return LaneTraces(np.array(math.nan), 0, 0)
-        h, d = _cn2_series(delta)
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing lane reads +-inf
-            neg_a, neg_bd = -h * h * a, -b * d
-            if not math.isfinite(neg_a + neg_bd.sum()):  # c(0): the one liveness test
-                return LaneTraces(np.array(math.nan), 0, 0)
-            nbd = neg_bd[:, None]
-            sol = solve_hill_lanes(
-                lambda taus: neg_a + np.cos(np.multiply.outer(taus, _NPI)) @ nbd,
-                1, tol, max_steps)
-        if sol.failure is not None:
-            return LaneTraces(np.array(math.nan), sol.steps, sol.rhs_evals)
-        u1, u2, du1, du2 = sol.y.ravel().tolist()
-        drift = abs(u1 * du2 - du1 * u2 - 1.0)
-        return LaneTraces(np.array(2.0 * (u1 * du2 + du1 * u2)), sol.steps, sol.rhs_evals,
-                          drift if math.isfinite(drift) else 0.0)
-    delta, a, b = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (delta, a, b)))
-    trace = np.full(a.shape, math.nan)  # written through trace.flat, lane by lane
-    delta, a, b = delta.ravel(), a.ravel(), b.ravel()
-    live = np.flatnonzero(valid_amplitude(delta))
-    uniq, where = np.unique(delta[live], return_inverse=True)
-    h, d = (v[where] for v in _cn2_series(uniq))
+        trace, live = np.array(math.nan), np.zeros(1, dtype=np.intp)  # one live lane, 0-d
+        a, b, (h, d) = np.array([a]), np.array([b]), _cn2_series([delta])
+    else:
+        delta, a, b = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (delta, a, b)))
+        trace = np.full(a.shape, math.nan)  # written through trace.flat, lane by lane
+        delta, a, b = delta.ravel(), a.ravel(), b.ravel()
+        live = np.flatnonzero(valid_amplitude(delta))
+        uniq, where = np.unique(delta[live], return_inverse=True)
+        h, d = (v[where] for v in _cn2_series(uniq))
     residual, runs = 0.0, []
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing lane reads +-inf
         neg_a, neg_bd = -h * h * a[live], -b[live, None] * d
@@ -359,8 +350,9 @@ def lane_traces(delta, a, b, tol: float = DEFAULT_TOL,
             runs.append(sol)
             if sol.failure is None:
                 u1, u2, du1, du2 = sol.y
-                trace.flat[live] = 2.0 * (u1 * du2 + du1 * u2)
-                drift = np.abs(u1 * du2 - du1 * u2 - 1.0)
+                p, q = u1 * du2, du1 * u2
+                trace.flat[live] = 2.0 * (p + q)
+                drift = abs(p - q - 1.0)
                 residual = float(drift[np.isfinite(drift)].max(initial=0.0))
             elif live.size > 1:  # each lane of a batch that failed, as a point
                 for i in live.tolist():

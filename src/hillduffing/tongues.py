@@ -40,6 +40,7 @@ from .hill import (
 CLASS_NAMES = {0: "stable", 1: "unstable", 2: "boundary", FAILED_CODE: "nan"}
 _WALK_CHUNK = 8  # outward-walk candidates per lane batch
 _BLOCK_LANES = 2048  # about this many cells per grid task, in whole columns
+_MAX_RECOUNT_LANES = 10**6  # grid points of one recount batch (``recount_crossings``)
 
 
 class StripVerdict(enum.Enum):
@@ -67,8 +68,9 @@ def trace_at(plane: Plane, delta: float, y: float, tol: float = DEFAULT_TOL) -> 
     """Monodromy trace at one point of the chosen parameter plane, on the lane
     kernel (not bit for bit ``monodromy``'s).  A point with no coefficient raises the
     ``DomainError`` of ``Plane.params``; a failed lane raises ``IntegrationFailure``.
-    The lane (a, b) = (w y, w) is formed on floats and ``lane_traces`` sets it up
-    on floats up to the kernel, bit for bit the one-lane ``_line`` value."""
+    The lane (a, b) = (w y, w) is formed on floats; ``lane_traces`` takes its
+    amplitude rule and series row on floats and then runs the batch tail on one
+    lane, bit for bit the one-lane ``_line`` value."""
     plane.params(delta, y)
     y = float(y)
     w = plane.scale(y)  # positive: Plane.params accepts no other
@@ -442,6 +444,9 @@ def recount_crossings(
     ``delta_max`` 6 gives 2 / 6 / 5 / 6 and 12 gives 3 / 6 / 6 / 7; both 6s at
     4.5 rest on near misses within 2e-13 of |trace| = 2, inside the
     integration error.  The exact count is ROADMAP item 1.
+    A grid of more than ``_MAX_RECOUNT_LANES`` (10^6) points raises a ``DomainError``
+    naming ``coarse_step`` before any array is built: one recount batch peaks at
+    about 1.3 kB a lane (60,000 lanes: 157 MB against 82 MB), so about 1.3 GB.
     """
     omega = require_in("omega", omega, 0.0, math.inf)
     require_in("coarse_step", coarse_step, 0.0, math.inf)
@@ -453,7 +458,10 @@ def recount_crossings(
 
     stop = delta_max + 0.5 * coarse_step
     # np.arange makes ceil((stop - start) / step) points; count them before building them
-    require_count("coarse_step grid points", float(np.ceil((stop - coarse_step) / coarse_step)), 0)
+    points = float(np.ceil((stop - coarse_step) / coarse_step))
+    if not points <= _MAX_RECOUNT_LANES:
+        raise DomainError(f"coarse_step grid points must be at most {_MAX_RECOUNT_LANES} "
+                          f"(one lane batch), got {points:.17g}")
     deltas = np.arange(coarse_step, stop, coarse_step)
     abstr = np.abs(_line(Plane.OMEGA, deltas, omega, integrator_tol))
     extra = sum(_refine_peak(abs_trace, deltas[i - 1], deltas[i + 1], 1e-8)[1] > 2.0

@@ -67,3 +67,29 @@ def test_recount_grid_within_the_bound_reaches_the_lanes(delta_max, coarse_step,
     with pytest.raises(Integrated):
         recount_crossings(1.5, delta_max=delta_max, coarse_step=coarse_step)
     assert seen == [points]
+
+
+def test_recount_refuses_a_grid_just_over_the_lane_budget(monkeypatch):
+    """One grid point over ``_MAX_RECOUNT_LANES`` is refused before any array exists."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built a grid array")
+
+    budget = tongues._MAX_RECOUNT_LANES
+    monkeypatch.setattr(tongues, "lane_traces", integrated)
+    monkeypatch.setattr(tongues.np, "arange", forbidden)
+    with pytest.raises(DomainError, match=f"^coarse_step grid points must be at most {budget} "):
+        recount_crossings(1.5, delta_max=float(budget + 1), coarse_step=1.0)
+
+
+def test_recount_grid_at_the_lane_budget_reaches_the_lanes(monkeypatch):
+    seen = []
+
+    def count_lanes(delta, a, b, tol):
+        seen.append(delta.size)
+        raise Integrated
+
+    budget = tongues._MAX_RECOUNT_LANES
+    monkeypatch.setattr(tongues, "lane_traces", count_lanes)
+    with pytest.raises(Integrated):
+        recount_crossings(1.5, delta_max=float(budget), coarse_step=1.0)
+    assert seen == [budget]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hillduffing import tongues
+from hillduffing import duffing, tongues
 from hillduffing.beam import ModePair, simulate
 from hillduffing.cli import main
 from hillduffing.criteria import (
@@ -31,7 +31,7 @@ from hillduffing.hill import (
     monodromy,
     squared_duffing_coefficient,
 )
-from hillduffing.integrate import solve_final, solve_lanes
+from hillduffing.integrate import DEFAULT_MAX_STEPS, solve_final, solve_lanes
 from hillduffing.tongues import (
     Plane,
     asymptotic_tongue_bounds,
@@ -323,3 +323,47 @@ class TestFractionalCounts:
     def test_bracket_takes_integral_float_samples(self):
         want = trace_level_bracket(Plane.GAMMA, 2, 0.5, threshold=2.0)
         assert trace_level_bracket(Plane.GAMMA, 2, 0.5, threshold=2.0, samples=257.0) == want
+
+
+class _Stepped(Exception):
+    """Raised by a patched ``beam.solve_sampled``: the run got past its checks."""
+
+
+@pytest.fixture
+def no_stepping(monkeypatch):
+    """Stop a beam run at its first step.  A TimeoutError raised by the alarm inside
+    scipy's dop853 right-hand side does not stop that loop, so a run that would
+    only end at the step cap must not reach it."""
+    def stepped(*args, **kwargs):
+        raise _Stepped
+
+    monkeypatch.setattr("hillduffing.beam.solve_sampled", stepped)
+
+
+class TestBeamHorizonPastTheStepCap:
+    """A horizon spanning more periods of the w mode than the step cap allows
+    steps can only end at the cap, so ``simulate`` refuses it before stepping."""
+
+    def test_simulate_raises_before_stepping(self, alarm, no_stepping):
+        want = r"^horizon 1e-20 spans 1\.35e\+09 periods .* step cap of 10000000 steps$"
+        with pytest.raises(IntegrationFailure, match=want):
+            simulate(ModePair(1, 2), 1e30, horizon=1e-20)
+
+    def test_cli_exits_2_naming_the_step_cap(self, alarm, no_stepping, capsys):
+        code = main(["beam", "--m", "1", "--n", "2", "--delta", "1e30", "--horizon", "1e-20"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: horizon 1e-20 spans") and "step cap" in err
+
+    @pytest.mark.parametrize("pair", [ModePair(1, 2), ModePair(3, 2)])
+    def test_cap_counts_periods_of_w(self, pair, no_stepping):
+        w_period = duffing.period(DuffingParams(2.0)) / pair.m**2
+        with pytest.raises(_Stepped):
+            simulate(pair, 2.0, horizon=0.999 * DEFAULT_MAX_STEPS * w_period)
+        with pytest.raises(IntegrationFailure, match="step cap"):
+            simulate(pair, 2.0, horizon=1.001 * DEFAULT_MAX_STEPS * w_period)
+
+    @pytest.mark.parametrize("pair, delta", [(ModePair(1, 2), 3.01), (ModePair(2, 3), 2.5)])
+    def test_default_horizon_reaches_the_integrator(self, pair, delta, no_stepping):
+        with pytest.raises(_Stepped):
+            simulate(pair, delta)

@@ -111,3 +111,31 @@ def test_scan_sidecar_counts_only_the_live_cells(tmp_path):
     live = lane_traces([0.5, 1.0], *Plane.OMEGA.lane_pair([1.0]))
     assert (config["steps"], config["rhs_evals"]) == (live.steps, live.rhs_evals)
     assert config["failed_cells"] == 2
+
+
+@pytest.mark.parametrize("delta", [0.0, -0.0, 1e200])
+def test_dead_float_delta_is_a_nan_point(delta):
+    """A float delta that the amplitude rule refuses returns before the series."""
+    point = lane_traces(delta, 1.5, 1.0)
+    batch = lane_traces([delta], [1.5], [1.0])
+    assert point.trace.shape == () and math.isnan(point.trace)
+    assert (point.steps, point.rhs_evals, point.det_residual) == (0, 0, 0.0)
+    assert batch.trace.shape == (1,) and math.isnan(batch.trace[0])
+    assert (batch.steps, batch.rhs_evals, batch.det_residual) == (0, 0, 0.0)
+
+
+@pytest.mark.parametrize("delta, a, max_steps", [
+    (1.0, 1.5, 10_000_000),  # finishes
+    (2.0, 900.0, 20),  # hits the step cap
+    (1.0, -1e6, 10_000_000),  # overflows while stepping
+    (1.0, math.inf, 10_000_000),  # dead at tau = 0
+])
+def test_point_is_its_one_element_batch(delta, a, max_steps):
+    """Points and batches share one tail: a float point gives the bytes, work and
+    residual of the one-element array call, with a 0-d trace."""
+    point = lane_traces(delta, a, 1.0, max_steps=max_steps)
+    batch = lane_traces([delta], [a], [1.0], max_steps=max_steps)
+    assert point.trace.shape == () and batch.trace.shape == (1,)
+    assert point.trace.tobytes() == batch.trace.tobytes()
+    assert (point.steps, point.rhs_evals) == (batch.steps, batch.rhs_evals)
+    assert point.det_residual == batch.det_residual
